@@ -246,13 +246,18 @@ func urlKey(uri string) string {
 // diagnostics; everything else is identical to Route(fp()).
 func (r *Router) RouteLazy(uri string, fp func() Features) (Route, bool) {
 	key := urlKey(uri)
+	// learnFast updates an entry in place under the write lock, so its
+	// fields are read under the read lock; hits is atomic and outlives it.
 	r.mu.RLock()
 	e := r.fast[key]
+	var cached Route
+	fast := e != nil && !e.ambiguous
+	if fast {
+		cached = Route{Name: e.name, Score: e.score}
+	}
 	r.mu.RUnlock()
-	if e != nil && !e.ambiguous {
-		if e.hits.Add(1)%urlVerifyEvery != 0 {
-			return Route{Name: e.name, Score: e.score}, true
-		}
+	if fast && e.hits.Add(1)%urlVerifyEvery != 0 {
+		return cached, true
 	}
 	route, ok := r.Route(fp())
 	r.learnFast(key, route, ok)

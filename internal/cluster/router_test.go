@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -332,4 +333,51 @@ func TestRouteLazyAmbiguousPattern(t *testing.T) {
 	if fpCalls != before+20 {
 		t.Errorf("ambiguous pattern still fast-routing: %d fingerprints for 20 pages", fpCalls-before)
 	}
+}
+
+// TestRouteLazyConcurrentRelearn runs RouteLazy from several goroutines
+// while the same URL patterns are relearned under them: verifications
+// that update a pattern's score, conflicting verifications that flip it
+// ambiguous, and signature mutations that clear the table so it is
+// learned again. Under -race this pins that the fast path reads a
+// learned entry only under the router's lock.
+func TestRouteLazyConcurrentRelearn(t *testing.T) {
+	movies := clusterPageInfos(corpus.GenerateMovies(corpus.DefaultMovieProfile(11, 16)))
+	books := clusterPageInfos(corpus.GenerateBooks(corpus.DefaultBookProfile(12, 16)))
+	r := cluster.NewRouter(0)
+	r.Register("movies", cluster.SignatureOf(movies[:8]))
+	r.Register("books", cluster.SignatureOf(books[:8]))
+	// Fingerprints are computed up front: the test races the router, not
+	// the fingerprinting.
+	var prints []cluster.Features
+	for _, p := range append(movies[8:], books[8:]...) {
+		f := cluster.Fingerprint(p)
+		f.Host = "mixed.example"
+		prints = append(prints, f)
+	}
+	observed := cluster.Fingerprint(movies[0])
+
+	const workers, rounds = 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Two shared patterns: consecutive pages alternate content
+				// shapes, so verifications both refresh scores and observe
+				// conflicts.
+				uri := fmt.Sprintf("http://mixed.example/p%d/%d", (w+i)%2, i)
+				f := prints[(w*rounds+i)%len(prints)]
+				if _, ok := r.RouteLazy(uri, func() cluster.Features { return f }); !ok {
+					t.Errorf("worker %d round %d: corpus page unrouted", w, i)
+					return
+				}
+				if w == 0 && i%50 == 0 {
+					r.Observe("movies", observed)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -127,20 +128,33 @@ func MakeResultLine(it *Item) ResultLine {
 
 // NDJSONSink streams extraction results as NDJSON, one line per page,
 // flushing after every line when the writer supports it — the sink
-// behind POST /ingest's streamed response.
+// behind POST /ingest's streamed response. Lines are encoded by
+// AppendResultLine into a reused buffer and written with one Write each.
 type NDJSONSink struct {
-	w   io.Writer
-	enc *json.Encoder
+	w io.Writer
+	// Trace, when set, is stamped on every line (ResultLine.Trace).
+	Trace string
+	buf   []byte
 }
 
 // NewNDJSONSink writes result lines to w.
 func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	return &NDJSONSink{w: w, enc: json.NewEncoder(w)}
+	return &NDJSONSink{w: w}
 }
 
 // Emit implements Sink.
 func (s *NDJSONSink) Emit(it *Item) error {
-	if err := s.enc.Encode(MakeResultLine(it)); err != nil {
+	if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
+		// encoding/json refuses non-finite floats; report its error.
+		_, err := json.Marshal(it.Score)
+		return err
+	}
+	s.buf = AppendResultLine(s.buf[:0], it, s.Trace)
+	_, err := s.w.Write(s.buf)
+	if cap(s.buf) > maxRetainedScratch {
+		s.buf = nil
+	}
+	if err != nil {
 		return err
 	}
 	if f, ok := s.w.(flusher); ok {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -151,6 +151,7 @@ type PageLine struct {
 // page-level errors carrying the line number.
 type NDJSONSource struct {
 	sc      *bufio.Scanner
+	dec     pageLineDecoder
 	line    int
 	parse   PageParser
 	maxLine int
@@ -184,12 +185,12 @@ func (s *NDJSONSource) Next(ctx context.Context) (*core.Page, error) {
 	}
 	for s.sc.Scan() {
 		s.line++
-		raw := strings.TrimSpace(s.sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(s.sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
 		var in PageLine
-		if err := json.Unmarshal([]byte(raw), &in); err != nil {
+		if err := s.dec.decode(raw, &in); err != nil {
 			return nil, &PageError{Line: s.line, Err: err}
 		}
 		uri := in.URI

@@ -92,20 +92,9 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (streamed bool, 
 	// the deferred background read after abortPendingRead already
 	// ran, panicking the next read on the connection).
 	w.Header().Set("Connection", "close")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	trace := obs.Trace(r.Context())
-	sink := pipeline.FuncSink(func(it *pipeline.Item) error {
-		line := pipeline.MakeResultLine(it)
-		line.Trace = trace
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
+	sink := pipeline.NewNDJSONSink(w)
+	sink.Trace = trace
 
 	start := time.Now()
 	stats, runErr := pipeline.Run(r.Context(), pipeline.Config{
@@ -122,8 +111,8 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (streamed bool, 
 	if runErr != nil {
 		sum.Error = runErr.Error()
 	}
-	_ = enc.Encode(sum)
-	if flusher != nil {
+	_ = json.NewEncoder(w).Encode(sum)
+	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()
 	}
 
