@@ -13,8 +13,8 @@ import (
 // on the first Document call. Lazy pages keep the ingest hot path DOM-free:
 // the streaming extractor and the streaming feature builder work straight
 // from Source, and a tree is only materialized when some consumer
-// genuinely needs one (general XPath fallback, induction capture, page
-// rendering).
+// genuinely needs one (general XPath fallback, page rendering, an
+// induction job sampling its bucket).
 type Page struct {
 	URI string
 	Doc *dom.Node

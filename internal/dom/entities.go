@@ -151,15 +151,16 @@ func decodeEntity(s string) (rune, int, bool) {
 	return 0, 0, false
 }
 
+// The escapers are built once: a strings.Replacer is safe for concurrent
+// use, and constructing one per call dominated Render on text-heavy pages.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText encodes the characters that must not appear raw in text
 // content: & and <. (> is escaped too for symmetry with encoding/xml.)
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr encodes a double-quoted attribute value.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

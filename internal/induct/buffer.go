@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/resilient"
+	"repro/internal/streamx"
 )
 
 // Config tunes the induction subsystem. The zero value means defaults.
@@ -86,37 +87,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Capture is one retained unrouted page.
+// Capture is one retained unrouted page, kept as raw markup: a
+// pointer-free string the garbage collector never scans, where a parsed
+// tree would be thousands of nodes per page. Trees are parsed only when
+// an induction job samples the bucket.
 type Capture struct {
-	Page *core.Page
+	URI  string
+	HTML string
 	// Size is the approximate serialized size of the page in bytes —
-	// what the byte cap accounts for. Approximated with a cheap DOM walk
-	// rather than a full dom.Render: the capture path runs on the
-	// request path, and the buffer must not hold a second copy of every
-	// page's markup next to the parsed tree.
+	// what the byte cap accounts for: streamx.TreeSize of the parsed
+	// page, measured on the token stream (streamx.FingerprintSized) so
+	// capture never builds the tree.
 	Size int64
 	seq  int64
 }
 
-// approxPageSize estimates the serialized byte size of a document: tag
-// plus attribute bytes for elements, text bytes for the rest. Exactness
-// does not matter — the estimate only feeds the buffer's byte cap.
-func approxPageSize(doc *dom.Node) int64 {
-	var n int64
-	dom.Walk(doc, func(node *dom.Node) bool {
-		switch node.Type {
-		case dom.ElementNode:
-			n += int64(2*len(node.Data)) + 5 // <tag> + </tag>
-			for _, a := range node.Attr {
-				n += int64(len(a.Key)+len(a.Val)) + 4
-			}
-		default:
-			n += int64(len(node.Data))
-		}
-		return true
-	})
-	return n
-}
+// Page parses the capture into a page for the rule builder.
+func (c *Capture) Page() *core.Page { return core.NewPage(c.URI, c.HTML) }
 
 // bucket is one incremental page cluster inside the buffer.
 type bucket struct {
@@ -150,10 +137,10 @@ type UnroutedBuffer struct {
 	nextID  int
 	evicted int64
 	dropped int64
-	// journal, when set, receives every retained capture (rendered back
-	// to markup) for the persistence WAL. Called under b.mu so record
-	// order matches capture order; attached via Engine.SetJournal only
-	// after boot replay, so replayed captures are not re-journaled.
+	// journal, when set, receives every retained capture's markup for
+	// the persistence WAL. Called under b.mu so record order matches
+	// capture order; attached via Engine.SetJournal only after boot
+	// replay, so replayed captures are not re-journaled.
 	journal func(uri, html, trace string)
 }
 
@@ -168,23 +155,43 @@ func NewUnroutedBuffer(cfg Config) *UnroutedBuffer {
 // whether the page was retained (false when the bucket cap left no room
 // for a new cluster).
 func (b *UnroutedBuffer) Add(p *core.Page) (string, bool) {
-	return b.AddTraced(p, "")
+	return b.addPage(p, "")
 }
 
-// AddTraced is Add carrying the trace ID of the request that delivered
-// the page; the bucket remembers the latest one so induction jobs can
-// name the traffic that triggered them.
-func (b *UnroutedBuffer) AddTraced(p *core.Page, trace string) (string, bool) {
-	if p == nil || p.Document() == nil {
-		// Induction needs the tree (candidate paths are computed on
-		// nodes), so lazy captures materialize here — off the routed
-		// hot path by construction: only unrouted pages land in the
-		// buffer.
+// addPage fingerprints and sizes a page itself (streaming its source when
+// it is still unparsed) and captures it. Pages with neither source nor
+// tree (pipeline error placeholders) are refused.
+func (b *UnroutedBuffer) addPage(p *core.Page, trace string) (string, bool) {
+	if p == nil || !hasMarkup(p) {
 		return "", false
 	}
-	size := approxPageSize(p.Doc)
-	f := cluster.Fingerprint(cluster.PageInfo{URI: p.URI, Doc: p.Doc})
+	f, size := streamx.FingerprintPageSized(p)
+	return b.AddMarkup(p.URI, pageMarkup(p), f, size, trace)
+}
 
+func hasMarkup(p *core.Page) bool {
+	_, lazy := p.Source()
+	return lazy || p.Doc != nil
+}
+
+// pageMarkup is the markup a capture keeps: the raw source when the page
+// still holds it, else (a page built from a cached tree) the tree
+// rendered once. Rendered markup re-parses to the same tree.
+func pageMarkup(p *core.Page) string {
+	if src, ok := p.Source(); ok {
+		return src
+	}
+	return dom.Render(p.Doc)
+}
+
+// AddMarkup is the buffer's one capture entry point: the page's URI and
+// markup, its clustering features and size (streamx.FingerprintSized —
+// the router's fingerprint pass already computed both), and the trace ID
+// of the request that delivered it, which the bucket remembers so
+// induction jobs can name the traffic that triggered them. Live traffic,
+// WAL replay and the page-based helpers all come through here, so
+// replay re-runs exactly the bucketing the live run did.
+func (b *UnroutedBuffer) AddMarkup(uri, html string, f cluster.Features, size int64, trace string) (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
@@ -214,7 +221,7 @@ func (b *UnroutedBuffer) AddTraced(p *core.Page, trace string) (string, bool) {
 		b.buckets[best.id] = best
 		b.order = append(b.order, best.id)
 		best.sig.Add(f)
-	} else if old, ok := best.byURI[p.URI]; ok {
+	} else if old, ok := best.byURI[uri]; ok {
 		// A re-captured URI replaces its retained copy but is NOT
 		// re-absorbed into the centroid and does not advance the
 		// stability streak — a client retry loop re-posting one page
@@ -227,9 +234,9 @@ func (b *UnroutedBuffer) AddTraced(p *core.Page, trace string) (string, bool) {
 		best.sig.Add(f)
 	}
 	b.seq++
-	c := &Capture{Page: p, Size: size, seq: b.seq}
+	c := &Capture{URI: uri, HTML: html, Size: size, seq: b.seq}
 	best.caps = append(best.caps, c)
-	best.byURI[p.URI] = c
+	best.byURI[uri] = c
 	best.bytes += size
 	best.lastSeq = b.seq
 	if trace != "" {
@@ -238,7 +245,7 @@ func (b *UnroutedBuffer) AddTraced(p *core.Page, trace string) (string, bool) {
 	b.bytes += size
 	b.evictBytesLocked()
 	if b.journal != nil {
-		b.journal(p.URI, dom.Render(p.Doc), trace)
+		b.journal(uri, html, trace)
 	}
 	return best.id, true
 }
@@ -315,7 +322,7 @@ func (b *UnroutedBuffer) removeCaptureLocked(bk *bucket, c *Capture) {
 			break
 		}
 	}
-	delete(bk.byURI, c.Page.URI)
+	delete(bk.byURI, c.URI)
 	bk.bytes -= c.Size
 	b.bytes -= c.Size
 }
@@ -404,7 +411,7 @@ func (b *UnroutedBuffer) Buckets() []BucketInfo {
 			Trace: bk.trace}
 		uris := make([]string, 0, len(bk.caps))
 		for _, c := range bk.caps {
-			uris = append(uris, c.Page.URI)
+			uris = append(uris, c.URI)
 		}
 		info.URIs = uris
 		info.Name = cluster.DeriveName(uris, bk.id)
@@ -425,7 +432,7 @@ func (b *UnroutedBuffer) snapshot(id string) (caps []*Capture, sig *cluster.Sign
 	caps = append([]*Capture(nil), bk.caps...)
 	uris := make([]string, 0, len(caps))
 	for _, c := range caps {
-		uris = append(uris, c.Page.URI)
+		uris = append(uris, c.URI)
 	}
 	return caps, bk.sig.Clone(), cluster.DeriveName(uris, bk.id), true
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/resilient"
 	"repro/internal/rule"
@@ -123,8 +124,9 @@ type Engine struct {
 // Hooks are called under the engine's (or buffer's) lock — they must
 // only append to the log, never call back into the engine.
 type Journal struct {
-	// Capture receives every retained unrouted page, re-rendered to
-	// markup, with the trace ID of the request that delivered it.
+	// Capture receives every retained unrouted page's markup (its raw
+	// source, or the tree rendered once for pages that arrived without
+	// one), with the trace ID of the request that delivered it.
 	Capture func(uri, html, trace string)
 	// Job receives a snapshot of a job after every state transition
 	// (queued, running, staged, promoted, failed, cancelled) — replay
@@ -182,9 +184,23 @@ func (e *Engine) Capture(p *core.Page) bool {
 
 // CaptureTraced is Capture carrying the trace ID of the request that
 // delivered the page, so jobs planned over the bucket can name the
-// traffic that triggered them.
+// traffic that triggered them. It fingerprints the page itself; callers
+// that already hold the page's features use CaptureFingerprinted.
 func (e *Engine) CaptureTraced(p *core.Page, trace string) bool {
-	_, ok := e.buffer.AddTraced(p, trace)
+	_, ok := e.buffer.addPage(p, trace)
+	return ok
+}
+
+// CaptureFingerprinted buffers a page whose clustering features and size
+// the caller already computed with streamx.FingerprintPageSized — the
+// router's fingerprint pass — so capturing an unparsed page neither
+// parses nor fingerprints it again. It reports whether the page was
+// retained.
+func (e *Engine) CaptureFingerprinted(p *core.Page, f cluster.Features, size int64, trace string) bool {
+	if p == nil || !hasMarkup(p) {
+		return false
+	}
+	_, ok := e.buffer.AddMarkup(p.URI, pageMarkup(p), f, size, trace)
 	return ok
 }
 
@@ -410,11 +426,11 @@ func (e *Engine) runJob(id string) {
 		if len(sample) >= e.cfg.SampleSize {
 			break
 		}
-		vals := e.lookupValues(c.Page.URI)
+		vals := e.lookupValues(c.URI)
 		if len(vals) == 0 {
 			continue
 		}
-		sample = append(sample, c.Page)
+		sample = append(sample, c.Page())
 		for comp := range vals {
 			compSet[comp] = true
 		}

@@ -6,15 +6,17 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dom"
+	"repro/internal/streamx"
 )
 
 // Persistence support: the engine's full state (buffer buckets, job
 // records, operator examples) exports to JSON-friendly structs for the
 // store snapshot, and the WAL's capture / job / examples records apply
-// back idempotently. Pages round-trip as rendered markup and are
-// re-parsed on restore — core.Page holds only the parsed tree.
+// back idempotently. Captures already hold their markup, so snapshots
+// and WAL records write it as is and restore never parses: sizes and
+// features come from streamx.FingerprintSized. Older records hold the
+// page's rendered tree instead of its source; that is markup too, and it
+// restores the same buckets.
 
 // CaptureState is one retained page, shaped for the snapshot.
 type CaptureState struct {
@@ -53,9 +55,7 @@ type EngineState struct {
 	Examples map[string]map[string][]string `json:"examples,omitempty"`
 }
 
-// exportState copies the buffer; rendering every retained page back to
-// markup happens under b.mu (snapshots are rare, captures are not the
-// extraction hot path).
+// exportState copies the buffer under b.mu.
 func (b *UnroutedBuffer) exportState() *BufferState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -70,7 +70,7 @@ func (b *UnroutedBuffer) exportState() *BufferState {
 		}
 		for _, c := range bk.caps {
 			bs.Caps = append(bs.Caps, CaptureState{
-				URI: c.Page.URI, HTML: renderPage(c.Page), Seq: c.seq,
+				URI: c.URI, HTML: c.HTML, Seq: c.seq,
 			})
 		}
 		st.Buckets = append(st.Buckets, bs)
@@ -78,8 +78,8 @@ func (b *UnroutedBuffer) exportState() *BufferState {
 	return st
 }
 
-// restoreState rebuilds the buffer from a snapshot: pages re-parse,
-// sizes and byte totals recompute, derived indexes rebuild.
+// restoreState rebuilds the buffer from a snapshot: sizes and byte
+// totals recompute from the markup, derived indexes rebuild.
 func (b *UnroutedBuffer) restoreState(st *BufferState) {
 	if st == nil {
 		return
@@ -104,11 +104,8 @@ func (b *UnroutedBuffer) restoreState(st *BufferState) {
 			byURI: map[string]*Capture{},
 		}
 		for _, cs := range bs.Caps {
-			page := core.NewPage(cs.URI, cs.HTML)
-			if page == nil || page.Doc == nil {
-				continue
-			}
-			c := &Capture{Page: page, Size: approxPageSize(page.Doc), seq: cs.Seq}
+			_, size := streamx.FingerprintSized(cs.URI, cs.HTML)
+			c := &Capture{URI: cs.URI, HTML: cs.HTML, Size: size, seq: cs.Seq}
 			bk.caps = append(bk.caps, c)
 			bk.byURI[cs.URI] = c
 			bk.bytes += c.Size
@@ -210,11 +207,8 @@ func (e *Engine) RestoreState(st *EngineState) {
 // bucket ids, centroids and eviction decisions land exactly where the
 // original run put them.
 func (e *Engine) ApplyCapture(uri, html, trace string) {
-	page := core.NewPage(uri, html)
-	if page == nil || page.Doc == nil {
-		return
-	}
-	e.buffer.AddTraced(page, trace)
+	f, size := streamx.FingerprintSized(uri, html)
+	e.buffer.AddMarkup(uri, html, f, size, trace)
 }
 
 // ApplyJobRecord replays one WAL job record: upsert by ID (the last
@@ -286,12 +280,4 @@ func (e *Engine) ResumeJobs() int {
 		e.cond.Broadcast()
 	}
 	return requeued
-}
-
-// renderPage serializes a page back to markup for persistence.
-func renderPage(p *core.Page) string {
-	if p == nil || p.Doc == nil {
-		return ""
-	}
-	return dom.Render(p.Doc)
 }

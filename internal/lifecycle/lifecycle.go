@@ -81,6 +81,39 @@ type Sample struct {
 	Failing  bool
 	Failures []extract.Failure
 	seq      int64 // recency, for eviction
+
+	// prev/next link the sample into its monitor's passing or failing
+	// eviction list (see sampleList).
+	prev, next *Sample
+}
+
+// sampleList is an intrusive list of samples in seq order: an observed
+// sample always carries the newest seq and goes to the tail, so the head
+// is the oldest — the eviction victim, found in O(1).
+type sampleList struct{ head, tail *Sample }
+
+func (l *sampleList) push(s *Sample) {
+	s.prev, s.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = s
+	} else {
+		l.head = s
+	}
+	l.tail = s
+}
+
+func (l *sampleList) remove(s *Sample) {
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		l.head = s.next
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	} else {
+		l.tail = s.prev
+	}
+	s.prev, s.next = nil, nil
 }
 
 // Monitor watches one repository's live extraction traffic. All methods
@@ -103,6 +136,9 @@ type Monitor struct {
 
 	buffer map[string]*Sample // keyed by page URI
 	seq    int64
+	// passing and failing hold every buffered sample, by its Failing
+	// state, in seq order.
+	passing, failing sampleList
 
 	tripped   bool
 	alarms    int64
@@ -163,12 +199,10 @@ func (m *Monitor) Observe(page *core.Page, values map[string][]string, failures 
 	// components, while failed components keep the golden values from
 	// before the page evolved — the negative example plus the remembered
 	// answer that repair needs.
-	failedComp := map[string]bool{}
-	for _, f := range failures {
-		failedComp[f.Component] = true
-	}
 	s, ok := m.buffer[page.URI]
-	if !ok {
+	if ok {
+		m.listOf(s).remove(s)
+	} else {
 		s = &Sample{Golden: map[string][]string{}}
 		m.buffer[page.URI] = s
 	}
@@ -177,8 +211,9 @@ func (m *Monitor) Observe(page *core.Page, values map[string][]string, failures 
 	s.Failures = failures
 	m.seq++
 	s.seq = m.seq
+	m.listOf(s).push(s)
 	for comp, vals := range values {
-		if !failedComp[comp] && len(vals) > 0 {
+		if len(vals) > 0 && !componentFailed(failures, comp) {
 			s.Golden[comp] = append([]string(nil), vals...)
 		}
 	}
@@ -220,27 +255,56 @@ func (m *Monitor) NeedsRepair() bool {
 	return !m.attempted || m.sinceAttempt >= m.cfg.MinSamples
 }
 
+// componentFailed reports whether any failure names the component — a
+// scan, since a page has few failures and most have none.
+func componentFailed(failures []extract.Failure, comp string) bool {
+	for _, f := range failures {
+		if f.Component == comp {
+			return true
+		}
+	}
+	return false
+}
+
+// listOf is the eviction list a sample belongs on.
+func (m *Monitor) listOf(s *Sample) *sampleList {
+	if s.Failing {
+		return &m.failing
+	}
+	return &m.passing
+}
+
 // evictLocked drops least-recently-observed samples beyond BufferSize,
-// preferring to keep failing samples (they are the repair evidence).
+// preferring to keep failing samples (they are the repair evidence): the
+// oldest passing sample goes first, the oldest failing one only when no
+// passing sample is left.
 func (m *Monitor) evictLocked() {
 	for len(m.buffer) > m.cfg.BufferSize {
-		victim := ""
-		victimSeq := int64(-1)
-		victimFailing := true
-		for uri, s := range m.buffer {
-			// A passing sample always loses to a failing one; among
-			// equals the older goes.
-			better := false
-			if s.Failing != victimFailing {
-				better = !s.Failing
-			} else {
-				better = victimSeq < 0 || s.seq < victimSeq
-			}
-			if better {
-				victim, victimSeq, victimFailing = uri, s.seq, s.Failing
-			}
+		victim := m.passing.head
+		if victim == nil {
+			victim = m.failing.head
 		}
-		delete(m.buffer, victim)
+		m.listOf(victim).remove(victim)
+		delete(m.buffer, victim.Page.URI)
+	}
+}
+
+// relinkLocked rebuilds both eviction lists from the buffer in seq order
+// (URI breaks ties, which only a restore onto live samples can create).
+func (m *Monitor) relinkLocked() {
+	all := make([]*Sample, 0, len(m.buffer))
+	for _, s := range m.buffer {
+		all = append(all, s)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].seq != all[j].seq {
+			return all[i].seq < all[j].seq
+		}
+		return all[i].Page.URI < all[j].Page.URI
+	})
+	m.passing, m.failing = sampleList{}, sampleList{}
+	for _, s := range all {
+		m.listOf(s).push(s)
 	}
 }
 

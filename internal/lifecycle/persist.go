@@ -139,5 +139,6 @@ func (m *Monitor) RestoreState(st *MonitorState) {
 		}
 		m.buffer[ss.URI] = s
 	}
+	m.relinkLocked()
 	m.evictLocked()
 }

@@ -636,6 +636,10 @@ func (s *Server) lookupRepo(r *http.Request) (*RepoEntry, error) {
 	return e, nil
 }
 
+// fingerprintPage is the routing fingerprint pass; a variable so tests
+// can count how often a page is fingerprinted.
+var fingerprintPage = streamx.FingerprintPageSized
+
 // routePage classifies a page to a loaded repository via the router —
 // the path taken when a request names no repository. Outcomes feed the
 // router metrics: hit (routed), unrouted (below threshold), miss (no
@@ -647,8 +651,15 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 		return nil, 0, errf(http.StatusBadRequest,
 			"repo parameter required (no routable repositories loaded)")
 	}
-	route, ok := s.Router.RouteLazy(page.URI,
-		func() cluster.Features { return streamx.FingerprintPage(page) })
+	// The closure keeps what it computed: an unrouted result always comes
+	// from the full-match path, so a page headed for the induction buffer
+	// has been fingerprinted and sized exactly once, without a parse.
+	var feats cluster.Features
+	var size int64
+	route, ok := s.Router.RouteLazy(page.URI, func() cluster.Features {
+		feats, size = fingerprintPage(page)
+		return feats
+	})
 	if !ok {
 		s.Metrics.Router(RouterUnrouted)
 		// The page itself is the raw material for wrapper induction:
@@ -657,7 +668,7 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 		// request's trace ID so a job induced over this traffic can name
 		// the request that fed it.
 		if s.Induct != nil {
-			s.Induct.CaptureTraced(page, obs.Trace(ctx))
+			s.Induct.CaptureFingerprinted(page, feats, size, obs.Trace(ctx))
 		}
 		msg := fmt.Sprintf("unrouted: page %q matched no repository signature", page.URI)
 		if route.Name != "" {
@@ -824,8 +835,9 @@ func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() stri
 	}
 	s.Metrics.PageCache(false)
 	// Lazy page: the streaming extractor usually never parses it, so the
-	// cache only admits trees that some consumer genuinely built (general
-	// XPath fallback, induction capture, rendering). Compiled rule
+	// cache only admits trees that some consumer genuinely built (the
+	// general XPath fallback, rendering). Induction capture keeps the raw
+	// source instead of a tree. Compiled rule
 	// *programs* are cached per repository version instead.
 	page := core.NewPageLazy(uri, src())
 	page.SetOnParse(func(doc *dom.Node) { s.PageCache.Put(key, doc, size) })

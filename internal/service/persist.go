@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/extract"
 	"repro/internal/induct"
 	"repro/internal/lifecycle"
 	"repro/internal/monitor"
@@ -67,6 +68,20 @@ type captureRecord struct {
 	URI   string `json:"uri"`
 	HTML  string `json:"html"`
 	Trace string `json:"trace,omitempty"`
+}
+
+// AppendJSON implements store.JSONAppender: the same bytes as
+// json.Marshal, in one escaping pass over the page markup.
+func (r captureRecord) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"uri":`...)
+	dst = extract.AppendJSONString(dst, r.URI)
+	dst = append(dst, `,"html":`...)
+	dst = extract.AppendJSONString(dst, r.HTML)
+	if r.Trace != "" {
+		dst = append(dst, `,"trace":`...)
+		dst = extract.AppendJSONString(dst, r.Trace)
+	}
+	return append(dst, '}')
 }
 
 // persistedState is the full-daemon snapshot the store compacts the WAL

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +116,7 @@ type Store struct {
 	seq      uint64
 	walBytes int64
 	closed   bool
+	frame    []byte // reused frame buffer (header + envelope), guarded by mu
 
 	// Group commit (FsyncAlways): appenders bump wantSeq and wait on
 	// cond until the syncer goroutine's fsync covers their record.
@@ -275,13 +277,30 @@ func (s *Store) truncateTorn(path string, f *os.File, at int64, why string) {
 	}
 }
 
+// JSONAppender is a record payload that encodes itself: AppendJSON must
+// append exactly the bytes json.Marshal produces for the value. Append
+// uses it in place of json.Marshal, so large payloads (captured pages)
+// take one encoding pass instead of encoding/json's reflection walk.
+type JSONAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+// maxReusedFrame caps the frame buffer kept between appends: a rare huge
+// record must not pin its buffer for the life of the store.
+const maxReusedFrame = 1 << 20
+
 // Append journals one record: the payload is marshalled, framed,
 // written through to the OS, and — under the "always" policy — fsynced
 // (group-committed with concurrent appenders) before Append returns.
 func (s *Store) Append(typ string, data any) error {
-	payload, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("store: marshalling %s record: %w", typ, err)
+	var payload []byte
+	if a, ok := data.(JSONAppender); ok {
+		payload = a.AppendJSON(nil)
+	} else {
+		var err error
+		if payload, err = json.Marshal(data); err != nil {
+			return fmt.Errorf("store: marshalling %s record: %w", typ, err)
+		}
 	}
 
 	s.mu.Lock()
@@ -290,29 +309,25 @@ func (s *Store) Append(typ string, data any) error {
 		return errors.New("store: closed")
 	}
 	s.seq++
-	rec := Record{V: RecordVersion, Seq: s.seq, Type: typ, Data: payload}
-	frame, err := json.Marshal(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: marshalling record envelope: %w", err)
-	}
-	var header [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(frame)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(frame))
-	if _, err := s.w.Write(header[:]); err == nil {
-		_, err = s.w.Write(frame)
-	}
+	buf := appendRecord(append(s.frame[:0], make([]byte, frameHeaderLen)...), s.seq, typ, payload)
+	frame := buf[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(frame))
+	_, err := s.w.Write(buf)
 	if err == nil {
 		// Write through to the OS: a killed process loses nothing even
 		// without fsync — the page cache outlives the process.
 		err = s.w.Flush()
+	}
+	if cap(buf) <= maxReusedFrame {
+		s.frame = buf
 	}
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("store: appending %s record: %w", typ, err)
 	}
 	seq := s.seq
-	s.walBytes += frameHeaderLen + int64(len(frame))
+	s.walBytes += int64(len(buf))
 	s.records.Add(1)
 	s.mu.Unlock()
 
@@ -320,6 +335,39 @@ func (s *Store) Append(typ string, data any) error {
 		return s.waitSynced(seq)
 	}
 	return nil
+}
+
+// appendRecord appends the JSON envelope of one record around its
+// already-encoded payload — byte-identical to json.Marshal(Record{V:
+// RecordVersion, Seq: seq, Type: typ, Data: payload}) for the compact,
+// HTML-escaped payloads json.Marshal and JSONAppender produce, without
+// re-scanning the payload.
+func appendRecord(dst []byte, seq uint64, typ string, payload []byte) []byte {
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, RecordVersion, 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, `,"type":`...)
+	dst = appendTypeName(dst, typ)
+	dst = append(dst, `,"data":`...)
+	dst = append(dst, payload...)
+	return append(dst, '}')
+}
+
+// appendTypeName JSON-encodes a record type name. The daemon's names are
+// plain identifiers and need no escaping; anything else goes through
+// encoding/json.
+func appendTypeName(dst []byte, typ string) []byte {
+	for i := 0; i < len(typ); i++ {
+		c := typ[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '-' || c == '_') {
+			quoted, _ := json.Marshal(typ) // marshalling a string cannot fail
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, typ...)
+	return append(dst, '"')
 }
 
 // waitSynced parks until the group-commit syncer's fsync covers seq.

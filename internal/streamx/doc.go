@@ -31,7 +31,10 @@
 //
 // The same engine feeds featSink, so cluster fingerprints
 // (streamx.Fingerprint) come from the identical token pass without a
-// parse either.
+// parse either. FingerprintSized also meters the page's TreeSize on that
+// pass, which lets the induction buffer capture unrouted pages without
+// ever parsing them; FuzzFingerprintVsDOM pins both figures to the
+// parse-based ones.
 //
 // # Fallback contract
 //

@@ -47,24 +47,39 @@ type engine struct {
 	textOpen bool
 	textRaw  bool
 	seenBody bool
+	// meter, when set, also measures the page's TreeSize from the same
+	// token stream (FingerprintSized); the tokenizer then reports raw
+	// attributes.
+	meter *sizeMeter
 }
 
 type engFrame struct {
 	name     string // tag name as it appeared in source (case preserved)
 	meta     *tagMeta
 	preserve bool // inside PRE or a raw-text element: keep whitespace-only text
-	detached bool // head-routed TITLE/STYLE frame
+	// inHead marks a head-routed TITLE/STYLE frame and every frame nested
+	// in one. Such frames have children only when the TITLE or STYLE was
+	// self-closed (so raw-text mode never began): the parser then nests
+	// what follows inside HEAD, where text does not start the body.
+	inHead bool
 }
 
 // walk runs the engine over src, delivering events to s. Generic over the
 // concrete sink type so both consumers get static dispatch.
 func walk[S sink](e *engine, src string, s S) error {
-	e.z.ResetLazy(src)
+	if e.meter != nil {
+		e.z.ResetLazyAttrs(src)
+	} else {
+		e.z.ResetLazy(src)
+	}
 	e.textOpen = false
 	e.seenBody = false
 	e.frames = append(e.frames[:0], engFrame{name: "BODY", meta: metaBody})
 	for {
 		tok := e.z.Next()
+		if e.meter != nil {
+			e.meter.token(&tok)
+		}
 		switch tok.Type {
 		case dom.ErrorToken:
 			e.sealText(s)
@@ -174,7 +189,7 @@ func (e *engine) addText(data string, s sink) {
 	if wsOnly && !top.preserve {
 		return
 	}
-	if !wsOnly && !top.detached {
+	if !wsOnly && !top.inHead {
 		e.seenBody = true
 	}
 	if !e.textOpen {
@@ -203,7 +218,7 @@ func (e *engine) addElement(tok dom.Token, s sink) error {
 		}
 		if pushHead {
 			e.frames = append(e.frames, engFrame{
-				name: tok.Data, meta: meta, preserve: true, detached: true,
+				name: tok.Data, meta: meta, preserve: true, inHead: true,
 			})
 		}
 		return nil
@@ -223,6 +238,7 @@ func (e *engine) addElement(tok dom.Token, s sink) error {
 		e.frames = append(e.frames, engFrame{
 			name: tok.Data, meta: meta,
 			preserve: top.preserve || (meta != nil && (meta.pre || meta.raw)),
+			inHead:   top.inHead,
 		})
 	}
 	return nil
