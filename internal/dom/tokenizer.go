@@ -52,10 +52,6 @@ type Tokenizer struct {
 	// and attributes are scanned for structure but not materialized.
 	// Byte offsets are exact either way.
 	lazy bool
-	// rawAttrs (lazy mode only) reports each start tag's attributes as
-	// raw source slices in attrs, reused from one tag to the next.
-	rawAttrs bool
-	attrs    []Attribute
 }
 
 // NewTokenizer returns a Tokenizer reading from src.
@@ -67,15 +63,6 @@ func NewTokenizer(src string) *Tokenizer {
 // the receiver so scanners held in per-run scratch state allocate nothing.
 func (z *Tokenizer) ResetLazy(src string) {
 	*z = Tokenizer{src: src, lazy: true}
-}
-
-// ResetLazyAttrs is ResetLazy, except that start tags do carry their
-// attributes: Key is the name exactly as in the source (not lower-cased)
-// and Val the raw, still entity-encoded value — slices of src, so no
-// per-attribute allocation. The Attr slice is reused by the next call to
-// Next; consumers that keep attributes must copy them.
-func (z *Tokenizer) ResetLazyAttrs(src string) {
-	*z = Tokenizer{src: src, lazy: true, rawAttrs: true, attrs: z.attrs[:0]}
 }
 
 // NewLazyTokenizer returns a Tokenizer in lazy mode: Data fields are raw
@@ -348,7 +335,6 @@ func (z *Tokenizer) nextStartTag() Token {
 	}
 	tok := Token{Type: StartTagToken, Data: name, Start: tokStart}
 	z.pos = j
-	z.attrs = z.attrs[:0]
 	z.parseAttrs(&tok)
 	tok.End = z.pos
 	if tok.Type == StartTagToken {
@@ -394,15 +380,10 @@ func (z *Tokenizer) parseAttrs(tok *Token) {
 		}
 		z.skipSpace()
 		if z.lazy {
-			val := ""
 			if z.pos < len(z.src) && z.src[z.pos] == '=' {
 				z.pos++
 				z.skipSpace()
-				val = z.skipAttrValue()
-			}
-			if z.rawAttrs {
-				z.attrs = append(z.attrs, Attribute{Key: key, Val: val})
-				tok.Attr = z.attrs
+				z.skipAttrValue()
 			}
 			continue
 		}
@@ -470,26 +451,24 @@ func (z *Tokenizer) readAttrValue() string {
 }
 
 // skipAttrValue consumes an attribute value exactly like readAttrValue but
-// decodes nothing, returning the raw value slice. The byte-consumption
-// rules must match: quoted values run to the matching quote (or EOF),
-// unquoted values to whitespace or '>'.
-func (z *Tokenizer) skipAttrValue() string {
+// materializes nothing. The byte-consumption rules must match: quoted
+// values run to the matching quote (or EOF), unquoted values to whitespace
+// or '>'.
+func (z *Tokenizer) skipAttrValue() {
 	if z.pos >= len(z.src) {
-		return ""
+		return
 	}
 	quote := z.src[z.pos]
 	if quote == '"' || quote == '\'' {
 		z.pos++
-		start := z.pos
 		end := strings.IndexByte(z.src[z.pos:], quote)
 		if end < 0 {
 			z.pos = len(z.src)
-			return z.src[start:]
+			return
 		}
 		z.pos += end + 1
-		return z.src[start : start+end]
+		return
 	}
-	start := z.pos
 	for z.pos < len(z.src) {
 		c := z.src[z.pos]
 		if c == '>' || c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' {
@@ -497,5 +476,4 @@ func (z *Tokenizer) skipAttrValue() string {
 		}
 		z.pos++
 	}
-	return z.src[start:z.pos]
 }

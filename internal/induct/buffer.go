@@ -94,10 +94,8 @@ func (c Config) withDefaults() Config {
 type Capture struct {
 	URI  string
 	HTML string
-	// Size is the approximate serialized size of the page in bytes —
-	// what the byte cap accounts for: streamx.TreeSize of the parsed
-	// page, measured on the token stream (streamx.FingerprintSized) so
-	// capture never builds the tree.
+	// Size is what the byte cap accounts for: len(HTML), the bytes the
+	// capture actually retains (and journals).
 	Size int64
 	seq  int64
 }
@@ -158,15 +156,14 @@ func (b *UnroutedBuffer) Add(p *core.Page) (string, bool) {
 	return b.addPage(p, "")
 }
 
-// addPage fingerprints and sizes a page itself (streaming its source when
-// it is still unparsed) and captures it. Pages with neither source nor
-// tree (pipeline error placeholders) are refused.
+// addPage fingerprints a page itself (streaming its source when it is
+// still unparsed) and captures it. Pages with neither source nor tree
+// (pipeline error placeholders) are refused.
 func (b *UnroutedBuffer) addPage(p *core.Page, trace string) (string, bool) {
 	if p == nil || !hasMarkup(p) {
 		return "", false
 	}
-	f, size := streamx.FingerprintPageSized(p)
-	return b.AddMarkup(p.URI, pageMarkup(p), f, size, trace)
+	return b.addMarkup(p.URI, pageMarkup(p), streamx.FingerprintPage(p), trace)
 }
 
 func hasMarkup(p *core.Page) bool {
@@ -184,14 +181,15 @@ func pageMarkup(p *core.Page) string {
 	return dom.Render(p.Doc)
 }
 
-// AddMarkup is the buffer's one capture entry point: the page's URI and
-// markup, its clustering features and size (streamx.FingerprintSized —
-// the router's fingerprint pass already computed both), and the trace ID
+// addMarkup is the buffer's one capture entry point: the page's URI and
+// markup, its clustering features (streamx.Fingerprint of the markup —
+// the router's fingerprint pass already computed them), and the trace ID
 // of the request that delivered it, which the bucket remembers so
 // induction jobs can name the traffic that triggered them. Live traffic,
 // WAL replay and the page-based helpers all come through here, so
 // replay re-runs exactly the bucketing the live run did.
-func (b *UnroutedBuffer) AddMarkup(uri, html string, f cluster.Features, size int64, trace string) (string, bool) {
+func (b *UnroutedBuffer) addMarkup(uri, html string, f cluster.Features, trace string) (string, bool) {
+	size := int64(len(html))
 	b.mu.Lock()
 	defer b.mu.Unlock()
 

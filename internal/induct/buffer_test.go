@@ -63,7 +63,7 @@ func TestBufferBucketsBySignature(t *testing.T) {
 // byte-cap eviction order: over the cap, captures leave strictly
 // oldest-first, so the buffer always holds the freshest evidence.
 func TestBufferByteCapEvictsOldestFirst(t *testing.T) {
-	one := approxPageSize(quotePage(0, 256).Doc)
+	one := captureSize(quotePage(0, 256))
 	b := NewUnroutedBuffer(Config{MaxBytes: 3*one + one/2})
 	for i := 0; i < 6; i++ {
 		if _, ok := b.Add(quotePage(i, 256)); !ok {
@@ -99,6 +99,46 @@ func TestBufferByteCapEvictsOldestFirst(t *testing.T) {
 	// absorbed all six.
 	if infos[0].SignaturePages != 6 {
 		t.Errorf("signature pages = %d, want 6", infos[0].SignaturePages)
+	}
+}
+
+// TestBufferChargesRetainedMarkup is the regression test for the byte
+// cap's accounting: a capture is charged every byte of markup it keeps,
+// including what a parsed tree would drop (whitespace-only text, stray
+// end tags), so pages padded with such bytes cannot retain more than the
+// cap.
+func TestBufferChargesRetainedMarkup(t *testing.T) {
+	const maxBytes = 16 << 10
+	pad := map[string]string{
+		"space": strings.Repeat(" ", 6<<10),
+		"stray": strings.Repeat(`</x y="z">`, 600),
+	}
+	for name, filler := range pad {
+		b := NewUnroutedBuffer(Config{MaxBytes: maxBytes})
+		for i := 0; i < 8; i++ {
+			src := fmt.Sprintf("<p>%s%d</p>%s", name, i, filler)
+			p := core.NewPageLazy(fmt.Sprintf("http://pad.example/%s/%d", name, i), src)
+			if _, ok := b.Add(p); !ok {
+				t.Fatalf("%s page %d not captured", name, i)
+			}
+			if b.Bytes() > maxBytes {
+				t.Fatalf("%s: buffer charged %d bytes, over the %d cap", name, b.Bytes(), maxBytes)
+			}
+		}
+		var held int64
+		for _, info := range b.Buckets() {
+			caps, _, _, _ := b.snapshot(info.ID)
+			for _, c := range caps {
+				held += int64(len(c.HTML))
+			}
+		}
+		if held != b.Bytes() || b.Evicted() == 0 {
+			t.Fatalf("%s: holds %d markup bytes, charged %d, evicted %d", name, held, b.Bytes(), b.Evicted())
+		}
+		huge := core.NewPageLazy("http://pad.example/huge", "<p>x</p>"+strings.Repeat(" ", 2*maxBytes))
+		if _, ok := b.Add(huge); ok {
+			t.Fatalf("%s: a page over the whole cap was admitted", name)
+		}
 	}
 }
 

@@ -16,51 +16,35 @@ import (
 )
 
 // The parse-based capture path, kept as a test oracle: the buffer used to
-// parse every unrouted page, fingerprint and size the tree, and journal
-// the rendered tree. The tree-free path must leave the buffer in the
-// state this path produces on any page stream.
+// parse every unrouted page and fingerprint the tree. The tree-free path
+// must leave the buffer in the state this path produces on any page
+// stream.
 
-// approxPageSize is the oracle's size estimate, computed on the tree: tag
-// plus attribute bytes for elements, text bytes for the rest.
-func approxPageSize(doc *dom.Node) int64 {
-	var n int64
-	dom.Walk(doc, func(node *dom.Node) bool {
-		switch node.Type {
-		case dom.ElementNode:
-			n += int64(2*len(node.Data)) + 5 // <tag> + </tag>
-			for _, a := range node.Attr {
-				n += int64(len(a.Key)+len(a.Val)) + 4
-			}
-		default:
-			n += int64(len(node.Data))
-		}
-		return true
-	})
-	return n
-}
+// captureSize is what the buffer charges a page against its byte cap:
+// the length of the markup it retains.
+func captureSize(p *core.Page) int64 { return int64(len(pageMarkup(p))) }
 
-// parseCapture is the oracle capture: parse, fingerprint the tree, size
-// the tree, retain and journal the rendered tree.
+// parseCapture is the oracle capture: parse, fingerprint the tree, retain
+// and journal the page's markup.
 func parseCapture(b *UnroutedBuffer, p *core.Page, trace string) (string, bool) {
 	doc := p.Document()
 	if doc == nil {
 		return "", false
 	}
 	f := cluster.Fingerprint(cluster.PageInfo{URI: p.URI, Doc: doc})
-	return b.AddMarkup(p.URI, dom.Render(doc), f, approxPageSize(doc), trace)
+	return b.addMarkup(p.URI, pageMarkup(p), f, trace)
 }
 
 // streamCapture is the serving path: one token pass over the raw source
 // (the router's fingerprint closure), then the markup entry point.
 func streamCapture(e *Engine, uri, src, trace string) bool {
 	p := core.NewPageLazy(uri, src)
-	f, size := streamx.FingerprintPageSized(p)
-	return e.CaptureFingerprinted(p, f, size, trace)
+	return e.CaptureFingerprinted(p, streamx.FingerprintPage(p), trace)
 }
 
 // capView is one retained capture, with its markup reduced to the
-// rendered tree: raw source and the oracle's rendered tree must parse to
-// the same document.
+// rendered tree: raw source and its rendered tree parse to the same
+// document.
 type capView struct {
 	URI  string
 	Tree string
@@ -81,7 +65,10 @@ type bufferView struct {
 	NextID                       int
 }
 
-func viewOf(t *testing.T, b *UnroutedBuffer) bufferView {
+// viewOf captures a buffer's observable state. Unsized views zero every
+// byte figure, for comparing buffers whose captures hold different
+// markup of the same trees.
+func viewOf(t *testing.T, b *UnroutedBuffer, sized bool) bufferView {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -95,16 +82,26 @@ func viewOf(t *testing.T, b *UnroutedBuffer) bufferView {
 		bv := bucketView{ID: bk.id, Sig: string(sig), JobID: bk.jobID, Trace: bk.trace,
 			Streak: bk.streak, LastSeq: bk.lastSeq, Bytes: bk.bytes}
 		for _, c := range bk.caps {
-			bv.Caps = append(bv.Caps, capView{URI: c.URI, Tree: dom.Render(dom.Parse(c.HTML)), Size: c.Size, Seq: c.seq})
+			cv := capView{URI: c.URI, Tree: dom.Render(dom.Parse(c.HTML)), Size: c.Size, Seq: c.seq}
+			if !sized {
+				cv.Size = 0
+			}
+			bv.Caps = append(bv.Caps, cv)
+		}
+		if !sized {
+			bv.Bytes = 0
 		}
 		v.Buckets = append(v.Buckets, bv)
+	}
+	if !sized {
+		v.Bytes = 0
 	}
 	return v
 }
 
-func assertSameBuffer(t *testing.T, what string, got, want *UnroutedBuffer) {
+func assertSameBuffer(t *testing.T, what string, got, want *UnroutedBuffer, sized bool) {
 	t.Helper()
-	g, w := viewOf(t, got), viewOf(t, want)
+	g, w := viewOf(t, got, sized), viewOf(t, want, sized)
 	if reflect.DeepEqual(g, w) {
 		return
 	}
@@ -171,11 +168,10 @@ func captureStream() []capturePage {
 
 // TestCaptureMatchesParseOracle feeds the same page stream through the
 // tree-free capture and the parse-based oracle, under byte-cap and
-// bucket-cap pressure, and requires identical buffers: bucket ids,
-// founding order, signatures, streaks, URIs, sizes, seqs, eviction
-// counts. Then it checks replay compatibility: the oracle's WAL and
-// snapshot hold rendered trees (the older record format), and both must
-// restore the tree-free buffer's state.
+// bucket-cap pressure, and requires identical buffers and journals:
+// bucket ids, founding order, signatures, streaks, URIs, sizes, seqs,
+// eviction counts. Replaying the journal or restoring a snapshot
+// rebuilds the same buffer.
 func TestCaptureMatchesParseOracle(t *testing.T) {
 	stream := captureStream()
 	cfg := Config{MaxBytes: 96 << 10, MaxBuckets: 3}
@@ -201,61 +197,86 @@ func TestCaptureMatchesParseOracle(t *testing.T) {
 			t.Fatalf("page %d (%s): retained %v, oracle %v", i, cp.uri, got, want)
 		}
 	}
-	assertSameBuffer(t, "live", eng.Buffer(), oracle)
-	if v := viewOf(t, oracle); v.Evicted == 0 || len(v.Buckets) < 2 {
+	assertSameBuffer(t, "live", eng.Buffer(), oracle, true)
+	if v := viewOf(t, oracle, true); v.Evicted == 0 || len(v.Buckets) < 2 {
 		t.Fatalf("stream too gentle: evicted %d, %d buckets", v.Evicted, len(v.Buckets))
 	}
-	if len(liveLog) != len(oracleLog) {
-		t.Fatalf("journaled %d captures, oracle %d", len(liveLog), len(oracleLog))
-	}
-	for i := range liveLog {
-		if dom.Render(dom.Parse(liveLog[i].html)) != oracleLog[i].html {
-			t.Fatalf("journal record %d (%s) does not parse to the oracle's tree", i, liveLog[i].uri)
-		}
+	if !reflect.DeepEqual(liveLog, oracleLog) {
+		t.Fatalf("journals differ: %d records, oracle %d", len(liveLog), len(oracleLog))
 	}
 
-	// The live journal carries raw source; the oracle's, rendered trees.
-	// Replaying either rebuilds the live state.
-	for name, log := range map[string][]record{"raw WAL": liveLog, "rendered WAL": oracleLog} {
-		replayed := NewEngine(cfg, &memStager{})
-		for _, rec := range log {
-			replayed.ApplyCapture(rec.uri, rec.html, rec.trace)
-		}
-		replayed.Close()
-		assertSameBuffer(t, name, replayed.Buffer(), eng.Buffer())
+	replayed := NewEngine(cfg, &memStager{})
+	for _, rec := range liveLog {
+		replayed.ApplyCapture(rec.uri, rec.html, rec.trace)
 	}
-
-	// A snapshot of the oracle (rendered trees) restores the live state.
+	replayed.Close()
+	assertSameBuffer(t, "WAL replay", replayed.Buffer(), eng.Buffer(), true)
 	restored := NewUnroutedBuffer(cfg)
-	restored.restoreState(oracle.exportState())
-	assertSameBuffer(t, "rendered snapshot", restored, eng.Buffer())
-	live := NewUnroutedBuffer(cfg)
-	live.restoreState(eng.Buffer().exportState())
-	assertSameBuffer(t, "raw snapshot", live, eng.Buffer())
+	restored.restoreState(eng.Buffer().exportState())
+	assertSameBuffer(t, "snapshot", restored, eng.Buffer(), true)
+}
+
+// TestRenderedRecordsRestore: WAL records and snapshots written before
+// captures kept their source hold each page's rendered tree. Both
+// restore the buckets the live run built — ids, signatures, streaks,
+// URIs, seqs, bucket-cap evictions — charged the rendered markup's
+// length. (Under byte-cap pressure that charge can evict differently
+// from the run that wrote them, so this stream stays under the byte cap.)
+func TestRenderedRecordsRestore(t *testing.T) {
+	cfg := Config{MaxBytes: 32 << 20, MaxBuckets: 3}
+	eng := NewEngine(cfg, &memStager{})
+	defer eng.Close()
+	type record struct{ uri, html, trace string }
+	var rendered []record
+	eng.SetJournal(Journal{Capture: func(uri, html, trace string) {
+		rendered = append(rendered, record{uri, dom.Render(dom.Parse(html)), trace})
+	}})
+	for i, cp := range captureStream() {
+		streamCapture(eng, cp.uri, cp.src, fmt.Sprintf("t%02d", i))
+	}
+	if v := viewOf(t, eng.Buffer(), true); v.Evicted == 0 || v.Bytes > cfg.MaxBytes/4 {
+		t.Fatalf("want bucket-cap eviction well under the byte cap, got evicted %d, %d bytes", v.Evicted, v.Bytes)
+	}
+
+	replayed := NewEngine(cfg, &memStager{})
+	for _, rec := range rendered {
+		replayed.ApplyCapture(rec.uri, rec.html, rec.trace)
+	}
+	replayed.Close()
+	assertSameBuffer(t, "rendered WAL", replayed.Buffer(), eng.Buffer(), false)
+
+	st := eng.Buffer().exportState()
+	for _, bs := range st.Buckets {
+		for i := range bs.Caps {
+			bs.Caps[i].HTML = dom.Render(dom.Parse(bs.Caps[i].HTML))
+		}
+	}
+	restored := NewUnroutedBuffer(cfg)
+	restored.restoreState(st)
+	assertSameBuffer(t, "rendered snapshot", restored, eng.Buffer(), false)
+	if got, want := restored.Bytes(), viewOf(t, replayed.Buffer(), true).Bytes; got != want {
+		t.Fatalf("rendered snapshot charged %d bytes, rendered WAL %d", got, want)
+	}
 }
 
 // TestCaptureLeavesLazyPageUnparsed: capturing an unrouted lazy page
 // with features the caller computed keeps it tree-free — the page is
-// never parsed, and the buffer retains its raw source.
+// never parsed, and the buffer retains (and charges) its raw source.
 func TestCaptureLeavesLazyPageUnparsed(t *testing.T) {
 	eng := NewEngine(Config{}, &memStager{})
 	defer eng.Close()
 	src := sloppy(dom.Render(quotePage(1, 32).Doc))
 	p := core.NewPageLazy("http://quotes.example/q/SYM1/1", src)
 	p.SetOnParse(func(*dom.Node) { t.Fatal("capture parsed the page") })
-	f, size := streamx.FingerprintPageSized(p)
-	if !eng.CaptureFingerprinted(p, f, size, "") {
+	if !eng.CaptureFingerprinted(p, streamx.FingerprintPage(p), "") {
 		t.Fatal("page not captured")
 	}
 	if p.Doc != nil {
 		t.Fatal("capture materialized the tree")
 	}
 	caps, _, _, _ := eng.Buffer().snapshot("b1")
-	if len(caps) != 1 || caps[0].HTML != src {
+	if len(caps) != 1 || caps[0].HTML != src || caps[0].Size != int64(len(src)) {
 		t.Fatalf("buffer did not retain the raw source: %+v", caps)
-	}
-	if caps[0].Size != approxPageSize(dom.Parse(src)) {
-		t.Fatalf("size %d, parsed size %d", caps[0].Size, approxPageSize(dom.Parse(src)))
 	}
 }
 
@@ -267,8 +288,9 @@ func TestCaptureSourcelessPageRendersOnce(t *testing.T) {
 	if _, ok := b.Add(p); !ok {
 		t.Fatal("page not captured")
 	}
+	html := dom.Render(p.Doc)
 	caps, _, _, _ := b.snapshot("b1")
-	if len(caps) != 1 || caps[0].HTML != dom.Render(p.Doc) || caps[0].Size != approxPageSize(p.Doc) {
+	if len(caps) != 1 || caps[0].HTML != html || caps[0].Size != int64(len(html)) {
 		t.Fatalf("unexpected capture %+v", caps)
 	}
 	if _, ok := b.Add(&core.Page{URI: "http://x/placeholder"}); ok {
@@ -289,7 +311,7 @@ func captureBenchPages(n int) []capturePage {
 // captureAllocBudget bounds the allocations of one unrouted capture on
 // the serving path — the stream fingerprint (tag-path and keyword sets)
 // plus the buffer insert, at steady state with eviction running. On
-// stock pages it measures 86; the parse-based path spent 125, and each
+// stock pages it measures 84; the parse-based path spent 119, and each
 // tree node it built was another object for the collector to scan.
 const captureAllocBudget = 110
 

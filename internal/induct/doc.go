@@ -19,9 +19,10 @@
 // cluster.Signature centroid it matches best, or founds a new one. The
 // buffer is bounded both in buckets and in retained page bytes; when the
 // byte cap is hit the oldest captures go first. Captures keep the page's
-// raw markup, never a parsed tree: the features and byte size come from
-// the router's stream fingerprint pass (streamx.FingerprintSized), and a
-// tree is parsed only when a job samples the bucket.
+// raw markup, never a parsed tree, and are charged its length: the
+// features come from the router's stream fingerprint pass
+// (streamx.FingerprintPage), and a tree is parsed only when a job
+// samples the bucket.
 //
 // The Planner promotes a bucket to an induction Job once it has enough
 // pages, a stable centroid (a streak of captures that matched the

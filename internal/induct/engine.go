@@ -191,16 +191,15 @@ func (e *Engine) CaptureTraced(p *core.Page, trace string) bool {
 	return ok
 }
 
-// CaptureFingerprinted buffers a page whose clustering features and size
-// the caller already computed with streamx.FingerprintPageSized — the
-// router's fingerprint pass — so capturing an unparsed page neither
-// parses nor fingerprints it again. It reports whether the page was
-// retained.
-func (e *Engine) CaptureFingerprinted(p *core.Page, f cluster.Features, size int64, trace string) bool {
+// CaptureFingerprinted buffers a page whose clustering features the
+// caller already computed with streamx.FingerprintPage — the router's
+// fingerprint pass — so capturing an unparsed page neither parses nor
+// fingerprints it again. It reports whether the page was retained.
+func (e *Engine) CaptureFingerprinted(p *core.Page, f cluster.Features, trace string) bool {
 	if p == nil || !hasMarkup(p) {
 		return false
 	}
-	_, ok := e.buffer.AddMarkup(p.URI, pageMarkup(p), f, size, trace)
+	_, ok := e.buffer.addMarkup(p.URI, pageMarkup(p), f, trace)
 	return ok
 }
 

@@ -13,10 +13,10 @@ import (
 // records, operator examples) exports to JSON-friendly structs for the
 // store snapshot, and the WAL's capture / job / examples records apply
 // back idempotently. Captures already hold their markup, so snapshots
-// and WAL records write it as is and restore never parses: sizes and
-// features come from streamx.FingerprintSized. Older records hold the
-// page's rendered tree instead of its source; that is markup too, and it
-// restores the same buckets.
+// and WAL records write it as is and restore never parses: features come
+// from streamx.Fingerprint, sizes are the markup's length. Older records
+// hold the page's rendered tree instead of its source; that is markup
+// too, and it restores the same buckets (charged the rendered length).
 
 // CaptureState is one retained page, shaped for the snapshot.
 type CaptureState struct {
@@ -104,8 +104,7 @@ func (b *UnroutedBuffer) restoreState(st *BufferState) {
 			byURI: map[string]*Capture{},
 		}
 		for _, cs := range bs.Caps {
-			_, size := streamx.FingerprintSized(cs.URI, cs.HTML)
-			c := &Capture{URI: cs.URI, HTML: cs.HTML, Size: size, seq: cs.Seq}
+			c := &Capture{URI: cs.URI, HTML: cs.HTML, Size: int64(len(cs.HTML)), seq: cs.Seq}
 			bk.caps = append(bk.caps, c)
 			bk.byURI[cs.URI] = c
 			bk.bytes += c.Size
@@ -205,10 +204,11 @@ func (e *Engine) RestoreState(st *EngineState) {
 // ApplyCapture replays one WAL capture record by re-running the
 // bucketing logic — deterministic given identical record order, so
 // bucket ids, centroids and eviction decisions land exactly where the
-// original run put them.
+// original run put them. (Records written when captures were charged a
+// tree-size estimate rather than their markup's length keep their ids
+// and centroids, but under byte-cap pressure may evict differently.)
 func (e *Engine) ApplyCapture(uri, html, trace string) {
-	f, size := streamx.FingerprintSized(uri, html)
-	e.buffer.AddMarkup(uri, html, f, size, trace)
+	e.buffer.addMarkup(uri, html, streamx.Fingerprint(uri, html), trace)
 }
 
 // ApplyJobRecord replays one WAL job record: upsert by ID (the last

@@ -32,10 +32,10 @@ func TestBufferEvictionSparesJobBuckets(t *testing.T) {
 
 	var total int64
 	for _, p := range stocks.Pages[:4] {
-		total += approxPageSize(p.Doc)
+		total += captureSize(p)
 	}
 	for _, p := range movies.Pages {
-		total += approxPageSize(p.Doc)
+		total += captureSize(p)
 	}
 	// Cap below the combined size so adding the movies forces eviction.
 	b := NewUnroutedBuffer(Config{MaxBytes: total * 3 / 4})
@@ -66,7 +66,7 @@ func TestBufferEvictionSparesJobBuckets(t *testing.T) {
 
 	// Fallback: when the pinned bucket is the only material left, the cap
 	// still wins over the pin.
-	one := approxPageSize(quotePage(0, 256).Doc)
+	one := captureSize(quotePage(0, 256))
 	b2 := NewUnroutedBuffer(Config{MaxBytes: 2*one + one/2})
 	id0, _ := b2.Add(quotePage(0, 256))
 	b2.setJob(id0, "j-solo")

@@ -16,7 +16,7 @@ import (
 // TestUnroutedLazyPageCapturedTreeFree: an unrouted page that arrives as
 // raw markup reaches the induction buffer without ever being parsed, and
 // the routing fingerprint pass is the only one it gets — the capture
-// reuses its features and size.
+// reuses its features and is charged the raw source's length.
 func TestUnroutedLazyPageCapturedTreeFree(t *testing.T) {
 	cl, repo := buildMoviesRepo(t, 94, 8)
 	repo.Signature = buildRepoWithSignature(t, cl).Signature
@@ -27,7 +27,7 @@ func TestUnroutedLazyPageCapturedTreeFree(t *testing.T) {
 
 	calls := 0
 	orig := fingerprintPage
-	fingerprintPage = func(p *core.Page) (cluster.Features, int64) {
+	fingerprintPage = func(p *core.Page) cluster.Features {
 		calls++
 		return orig(p)
 	}
@@ -50,8 +50,7 @@ func TestUnroutedLazyPageCapturedTreeFree(t *testing.T) {
 	if len(buckets) != 1 || len(buckets[0].URIs) != 1 || buckets[0].URIs[0] != alien.URI {
 		t.Fatalf("buffer = %+v, want the one unrouted page", buckets)
 	}
-	_, wantSize := orig(core.NewPage(alien.URI, src))
-	if buckets[0].Bytes != wantSize {
-		t.Fatalf("capture charged %d bytes, parsed page size %d", buckets[0].Bytes, wantSize)
+	if buckets[0].Bytes != int64(len(src)) {
+		t.Fatalf("capture charged %d bytes, source is %d", buckets[0].Bytes, len(src))
 	}
 }

@@ -638,7 +638,7 @@ func (s *Server) lookupRepo(r *http.Request) (*RepoEntry, error) {
 
 // fingerprintPage is the routing fingerprint pass; a variable so tests
 // can count how often a page is fingerprinted.
-var fingerprintPage = streamx.FingerprintPageSized
+var fingerprintPage = streamx.FingerprintPage
 
 // routePage classifies a page to a loaded repository via the router —
 // the path taken when a request names no repository. Outcomes feed the
@@ -653,11 +653,10 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 	}
 	// The closure keeps what it computed: an unrouted result always comes
 	// from the full-match path, so a page headed for the induction buffer
-	// has been fingerprinted and sized exactly once, without a parse.
+	// has been fingerprinted exactly once, without a parse.
 	var feats cluster.Features
-	var size int64
 	route, ok := s.Router.RouteLazy(page.URI, func() cluster.Features {
-		feats, size = fingerprintPage(page)
+		feats = fingerprintPage(page)
 		return feats
 	})
 	if !ok {
@@ -668,7 +667,7 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 		// request's trace ID so a job induced over this traffic can name
 		// the request that fed it.
 		if s.Induct != nil {
-			s.Induct.CaptureFingerprinted(page, feats, size, obs.Trace(ctx))
+			s.Induct.CaptureFingerprinted(page, feats, obs.Trace(ctx))
 		}
 		msg := fmt.Sprintf("unrouted: page %q matched no repository signature", page.URI)
 		if route.Name != "" {

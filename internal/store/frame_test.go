@@ -31,8 +31,7 @@ func TestAppendRecordMatchesEncoder(t *testing.T) {
 		[]int{}, nil, "just a string", 3.25,
 		htmlRec{HTML: "<p class=\"x\">Tom & Jerry\u2028</p>"},
 	}
-	types := []string{"induct.capture", "repo.stage", "monitor.schedule.remove", "x_y-Z9",
-		"", `we"ird`, "<tag>", "caf\u00e9", "\x7f"}
+	types := []string{"induct.capture", "repo.stage", "monitor.schedule.remove", "x_y-Z9"}
 	for _, typ := range types {
 		for i, data := range payloads {
 			payload, err := json.Marshal(data)
@@ -67,5 +66,20 @@ func TestAppendUsesJSONAppender(t *testing.T) {
 	}{rec.HTML})
 	if len(recs) != 1 || !bytes.Equal(recs[0].Data, want) {
 		t.Fatalf("replayed %+v, want data %s", recs, want)
+	}
+}
+
+// TestAppendRejectsNonIdentifierType: the envelope writes type names
+// unescaped, so Append refuses any name JSON would have to escape.
+func TestAppendRejectsNonIdentifierType(t *testing.T) {
+	s := openTest(t, t.TempDir(), FsyncNever)
+	defer s.Close()
+	for _, typ := range []string{`we"ird`, "<tag>", "caf\u00e9", "a b"} {
+		if err := s.Append(typ, testRec{N: 1}); err == nil {
+			t.Fatalf("Append accepted record type %q", typ)
+		}
+	}
+	if err := s.Append("induct.capture", testRec{N: 2}); err != nil {
+		t.Fatal(err)
 	}
 }

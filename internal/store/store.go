@@ -292,7 +292,11 @@ const maxReusedFrame = 1 << 20
 // Append journals one record: the payload is marshalled, framed,
 // written through to the OS, and — under the "always" policy — fsynced
 // (group-committed with concurrent appenders) before Append returns.
+// Record types must be identifiers ([A-Za-z0-9._-]).
 func (s *Store) Append(typ string, data any) error {
+	if !validType(typ) {
+		return fmt.Errorf("store: record type %q is not an identifier", typ)
+	}
 	var payload []byte
 	if a, ok := data.(JSONAppender); ok {
 		payload = a.AppendJSON(nil)
@@ -339,35 +343,32 @@ func (s *Store) Append(typ string, data any) error {
 
 // appendRecord appends the JSON envelope of one record around its
 // already-encoded payload — byte-identical to json.Marshal(Record{V:
-// RecordVersion, Seq: seq, Type: typ, Data: payload}) for the compact,
-// HTML-escaped payloads json.Marshal and JSONAppender produce, without
-// re-scanning the payload.
+// RecordVersion, Seq: seq, Type: typ, Data: payload}) for identifier
+// types (validType) and the compact, HTML-escaped payloads json.Marshal
+// and JSONAppender produce, without re-scanning the payload.
 func appendRecord(dst []byte, seq uint64, typ string, payload []byte) []byte {
 	dst = append(dst, `{"v":`...)
 	dst = strconv.AppendInt(dst, RecordVersion, 10)
 	dst = append(dst, `,"seq":`...)
 	dst = strconv.AppendUint(dst, seq, 10)
 	dst = append(dst, `,"type":`...)
-	dst = appendTypeName(dst, typ)
+	dst = append(append(append(dst, '"'), typ...), '"')
 	dst = append(dst, `,"data":`...)
 	dst = append(dst, payload...)
 	return append(dst, '}')
 }
 
-// appendTypeName JSON-encodes a record type name. The daemon's names are
-// plain identifiers and need no escaping; anything else goes through
-// encoding/json.
-func appendTypeName(dst []byte, typ string) []byte {
+// validType reports whether a record type name is an identifier
+// ([A-Za-z0-9._-]): JSON quotes such a name as it is, so appendRecord
+// writes it without escaping.
+func validType(typ string) bool {
 	for i := 0; i < len(typ); i++ {
 		c := typ[i]
 		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '-' || c == '_') {
-			quoted, _ := json.Marshal(typ) // marshalling a string cannot fail
-			return append(dst, quoted...)
+			return false
 		}
 	}
-	dst = append(dst, '"')
-	dst = append(dst, typ...)
-	return append(dst, '"')
+	return true
 }
 
 // waitSynced parks until the group-commit syncer's fsync covers seq.

@@ -31,10 +31,9 @@
 //
 // The same engine feeds featSink, so cluster fingerprints
 // (streamx.Fingerprint) come from the identical token pass without a
-// parse either. FingerprintSized also meters the page's TreeSize on that
-// pass, which lets the induction buffer capture unrouted pages without
-// ever parsing them; FuzzFingerprintVsDOM pins both figures to the
-// parse-based ones.
+// parse either. The induction buffer buckets unrouted pages by the
+// features the router's pass already computed, so capture never parses;
+// FuzzFingerprintVsDOM pins them to the parse-based ones.
 //
 // # Fallback contract
 //

@@ -47,10 +47,6 @@ type engine struct {
 	textOpen bool
 	textRaw  bool
 	seenBody bool
-	// meter, when set, also measures the page's TreeSize from the same
-	// token stream (FingerprintSized); the tokenizer then reports raw
-	// attributes.
-	meter *sizeMeter
 }
 
 type engFrame struct {
@@ -67,19 +63,12 @@ type engFrame struct {
 // walk runs the engine over src, delivering events to s. Generic over the
 // concrete sink type so both consumers get static dispatch.
 func walk[S sink](e *engine, src string, s S) error {
-	if e.meter != nil {
-		e.z.ResetLazyAttrs(src)
-	} else {
-		e.z.ResetLazy(src)
-	}
+	e.z.ResetLazy(src)
 	e.textOpen = false
 	e.seenBody = false
 	e.frames = append(e.frames[:0], engFrame{name: "BODY", meta: metaBody})
 	for {
 		tok := e.z.Next()
-		if e.meter != nil {
-			e.meter.token(&tok)
-		}
 		switch tok.Type {
 		case dom.ErrorToken:
 			e.sealText(s)

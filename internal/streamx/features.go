@@ -1,12 +1,8 @@
 package streamx
 
 import (
-	"strings"
-	"unicode/utf8"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dom"
 	"repro/internal/textutil"
 )
 
@@ -75,15 +71,15 @@ func (f *featSink) endElement() {
 // cluster.Fingerprint over the parsed document: same tag-path shingles
 // (the synthesized HTML/HEAD/BODY skeleton included), same keyword set.
 func Fingerprint(uri, src string) cluster.Features {
-	f, _ := fingerprint(uri, src, nil)
-	return f
-}
-
-// FingerprintSized is Fingerprint plus the page's TreeSize, both from the
-// same token pass: what the unrouted-capture path needs to bucket a page
-// and charge it against the buffer's byte cap without parsing it.
-func FingerprintSized(uri, src string) (cluster.Features, int64) {
-	return fingerprint(uri, src, &sizeMeter{})
+	fs := &featSink{tags: make(map[string]struct{})}
+	fs.tags["HTML"] = struct{}{}
+	fs.tags["HTML/HEAD"] = struct{}{}
+	fs.tags["HTML/BODY"] = struct{}{}
+	fs.path = append(fs.path, "HTML/BODY"...)
+	var e engine
+	// featSink never errors or stops early; walk cannot fail.
+	_ = walk(&e, src, fs)
+	return cluster.FeaturesFromParts(uri, fs.tags, textutil.TokenSet(string(fs.kw)))
 }
 
 // FingerprintPage fingerprints a page by whichever representation it
@@ -95,145 +91,4 @@ func FingerprintPage(p *core.Page) cluster.Features {
 		return Fingerprint(p.URI, src)
 	}
 	return cluster.Fingerprint(cluster.PageInfo{URI: p.URI, Doc: p.Document()})
-}
-
-// FingerprintPageSized is FingerprintPage plus the page's TreeSize, by the
-// same choice of representation.
-func FingerprintPageSized(p *core.Page) (cluster.Features, int64) {
-	if src, lazy := p.Source(); lazy && p.Doc == nil {
-		return FingerprintSized(p.URI, src)
-	}
-	doc := p.Document()
-	return cluster.Fingerprint(cluster.PageInfo{URI: p.URI, Doc: doc}), TreeSize(doc)
-}
-
-func fingerprint(uri, src string, m *sizeMeter) (cluster.Features, int64) {
-	fs := &featSink{tags: make(map[string]struct{})}
-	fs.tags["HTML"] = struct{}{}
-	fs.tags["HTML/HEAD"] = struct{}{}
-	fs.tags["HTML/BODY"] = struct{}{}
-	fs.path = append(fs.path, "HTML/BODY"...)
-	e := engine{meter: m}
-	// featSink never errors or stops early; walk cannot fail.
-	_ = walk(&e, src, fs)
-	var size int64
-	if m != nil {
-		size = m.total() + int64(len(fs.kw))
-	}
-	return cluster.FeaturesFromParts(uri, fs.tags, textutil.TokenSet(string(fs.kw))), size
-}
-
-// TreeSize is the approximate serialized size of a document in bytes: tag
-// plus attribute bytes for elements, data bytes for every other node.
-// Exactness against dom.Render does not matter — the figure only feeds
-// the unrouted buffer's byte cap — but FingerprintSized must reproduce it
-// exactly from the token stream, so a page is charged the same whether
-// or not it was ever parsed.
-func TreeSize(doc *dom.Node) int64 {
-	var n int64
-	dom.Walk(doc, func(node *dom.Node) bool {
-		switch node.Type {
-		case dom.ElementNode:
-			n += elementSize(len(node.Data))
-			for _, a := range node.Attr {
-				n += attrSize(len(a.Key), len(a.Val))
-			}
-		default:
-			n += int64(len(node.Data))
-		}
-		return true
-	})
-	return n
-}
-
-func elementSize(nameLen int) int64 { return int64(2*nameLen) + 5 } // <tag> + </tag>
-
-func attrSize(keyLen, valLen int) int64 { return int64(keyLen+valLen) + 4 }
-
-// sizeMeter computes TreeSize over the token stream, minus the text
-// bytes (the caller adds the featSink's keyword text, which is exactly
-// the document's text-node data). Every start tag other than HTML, HEAD
-// and BODY becomes exactly one element (the parser drops no other start
-// tag), comments and doctypes become one node each, and attributes of
-// HTML and BODY tags merge onto the synthesized skeleton the way
-// dom.Node.SetAttr does: last value per key wins.
-type sizeMeter struct {
-	n          int64
-	html, body []mergedAttr
-	scratch    []byte // entity-decoding scratch for attribute values
-}
-
-type mergedAttr struct {
-	key    string
-	valLen int
-}
-
-func (m *sizeMeter) token(tok *dom.Token) {
-	switch tok.Type {
-	case dom.CommentToken, dom.DoctypeToken:
-		m.n += int64(len(tok.Data))
-	case dom.StartTagToken, dom.SelfClosingTagToken:
-		switch {
-		case strings.EqualFold(tok.Data, "HTML"):
-			m.html = m.merge(m.html, tok.Attr)
-		case strings.EqualFold(tok.Data, "BODY"):
-			m.body = m.merge(m.body, tok.Attr)
-		case strings.EqualFold(tok.Data, "HEAD"):
-		default:
-			m.n += elementSize(len(tok.Data))
-			for _, a := range tok.Attr {
-				m.n += attrSize(keyLen(a.Key), m.valLen(a.Val))
-			}
-		}
-	}
-}
-
-// merge folds one skeleton tag's attributes into the element's set, with
-// the key normalization the tree applies on that path (the tokenizer's
-// lower-casing, then SetAttr's).
-func (m *sizeMeter) merge(set []mergedAttr, attrs []dom.Attribute) []mergedAttr {
-next:
-	for _, a := range attrs {
-		key, vl := strings.ToLower(strings.ToLower(a.Key)), m.valLen(a.Val)
-		for i := range set {
-			if set[i].key == key {
-				set[i].valLen = vl
-				continue next
-			}
-		}
-		set = append(set, mergedAttr{key, vl})
-	}
-	return set
-}
-
-// total is the metered size: the synthesized HTML/HEAD/BODY skeleton with
-// its merged attributes, plus every counted token.
-func (m *sizeMeter) total() int64 {
-	n := m.n + 3*elementSize(4)
-	for _, set := range [][]mergedAttr{m.html, m.body} {
-		for _, a := range set {
-			n += attrSize(len(a.key), a.valLen)
-		}
-	}
-	return n
-}
-
-// keyLen is len(strings.ToLower(key)) — what the eager tokenizer stores —
-// without allocating for ASCII names, whose length folding preserves.
-func keyLen(key string) int {
-	for i := 0; i < len(key); i++ {
-		if key[i] >= utf8.RuneSelf {
-			return len(strings.ToLower(key))
-		}
-	}
-	return len(key)
-}
-
-// valLen is the length of the entity-decoded value.
-func (m *sizeMeter) valLen(raw string) int {
-	if strings.IndexByte(raw, '&') < 0 {
-		return len(raw)
-	}
-	m.scratch = dom.AppendUnescapedEntities(m.scratch[:0], raw)
-	return len(m.scratch)
 }

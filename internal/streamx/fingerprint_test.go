@@ -15,9 +15,9 @@ import (
 // fingerprintFuzzSeeds is the committed seed corpus for
 // FuzzFingerprintVsDOM: the hostile shapes of the dom parser's FuzzParse
 // corpus and the extractor's FuzzStreamExtract corpus, plus attribute
-// shapes the size meter must account exactly (duplicates, skeleton
-// merges, entity-encoded values, keys that change length when
-// lower-cased). Corpus pages are added in fingerprintSeedPages.
+// shapes (duplicates, skeleton merges, entity-encoded values, keys that
+// change length when lower-cased). Corpus pages are added in
+// fingerprintSeedPages.
 var fingerprintFuzzSeeds = []string{
 	// Well-formed baseline.
 	"<html><head><title>t</title></head><body><p>hello</p></body></html>",
@@ -75,28 +75,18 @@ func fingerprintSeedPages() []string {
 }
 
 // checkFingerprintVsDOM asserts the equivalence the tree-free capture
-// path rests on: one token pass yields the features and the size a
-// parse-based capture computes from dom.Parse(src).
+// path rests on: one token pass yields the features a parse-based capture
+// computes from dom.Parse(src).
 func checkFingerprintVsDOM(t *testing.T, uri, src string) {
 	t.Helper()
-	doc := dom.Parse(src)
-	wantF := cluster.Fingerprint(cluster.PageInfo{URI: uri, Doc: doc})
-	wantSize := TreeSize(doc)
-	gotF, gotSize := FingerprintSized(uri, src)
-	if !reflect.DeepEqual(gotF, wantF) {
-		t.Fatalf("features differ for %q:\n got %+v\nwant %+v", src, gotF, wantF)
-	}
-	if gotSize != wantSize {
-		t.Fatalf("size differs for %q: stream %d, tree %d", src, gotSize, wantSize)
-	}
-	if plain := Fingerprint(uri, src); !reflect.DeepEqual(plain, gotF) {
-		t.Fatalf("Fingerprint and FingerprintSized disagree for %q", src)
+	want := cluster.Fingerprint(cluster.PageInfo{URI: uri, Doc: dom.Parse(src)})
+	if got := Fingerprint(uri, src); !reflect.DeepEqual(got, want) {
+		t.Fatalf("features differ for %q:\n got %+v\nwant %+v", src, got, want)
 	}
 }
 
-// FuzzFingerprintVsDOM: for arbitrary byte soup, the stream features and
-// stream size equal cluster.Fingerprint and TreeSize over the parsed
-// document.
+// FuzzFingerprintVsDOM: for arbitrary byte soup, the stream features
+// equal cluster.Fingerprint over the parsed document.
 func FuzzFingerprintVsDOM(f *testing.F) {
 	for _, s := range fingerprintSeedPages() {
 		f.Add(s)
@@ -109,34 +99,19 @@ func FuzzFingerprintVsDOM(f *testing.F) {
 	})
 }
 
-// TestTreeSizeCountsEveryNode pins TreeSize on a hand-checked document:
-// skeleton 3×13, <P title="ab"> 2+5 + 5+2+4, text "hi" 2, comment " c " 3,
-// doctype "doctype x" 9.
-func TestTreeSizeCountsEveryNode(t *testing.T) {
-	src := `<!doctype x><p title="ab">hi</p><!-- c -->`
-	want := int64(39 + 7 + 11 + 2 + 3 + 9)
-	if got := TreeSize(dom.Parse(src)); got != want {
-		t.Fatalf("TreeSize = %d, want %d", got, want)
-	}
-	if _, got := FingerprintSized("http://x/", src); got != want {
-		t.Fatalf("FingerprintSized size = %d, want %d", got, want)
-	}
-}
-
-// TestFingerprintPageSized covers both representations: an unparsed lazy
-// page streams (and stays unparsed), a parsed page uses its tree, and the
-// two agree.
-func TestFingerprintPageSized(t *testing.T) {
+// TestFingerprintPage covers both representations: an unparsed lazy page
+// streams (and stays unparsed), a parsed page uses its tree, and the two
+// agree.
+func TestFingerprintPage(t *testing.T) {
 	for i, src := range fingerprintSeedPages() {
 		uri := fmt.Sprintf("http://site.example/p/%d", i)
 		lazy := core.NewPageLazy(uri, src)
-		fl, sl := FingerprintPageSized(lazy)
+		fl := FingerprintPage(lazy)
 		if lazy.Doc != nil {
-			t.Fatalf("seed %d: FingerprintPageSized parsed a lazy page", i)
+			t.Fatalf("seed %d: FingerprintPage parsed a lazy page", i)
 		}
-		ft, st := FingerprintPageSized(core.NewPage(uri, src))
-		if !reflect.DeepEqual(fl, ft) || sl != st {
-			t.Fatalf("seed %d: lazy (%d) and parsed (%d) pages disagree", i, sl, st)
+		if ft := FingerprintPage(core.NewPage(uri, src)); !reflect.DeepEqual(fl, ft) {
+			t.Fatalf("seed %d: lazy and parsed pages disagree", i)
 		}
 	}
 }
