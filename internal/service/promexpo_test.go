@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/extract"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/store"
@@ -329,25 +333,10 @@ var snapshotFieldMetrics = map[string][]string{
 	"Build":             {"extractd_build_info"},
 }
 
-// TestPromJSONParity walks the Snapshot struct with reflection and
-// checks each field against the mapping table, then renders a fully
-// populated snapshot and checks every mapped family actually appears.
-func TestPromJSONParity(t *testing.T) {
-	st := reflect.TypeOf(Snapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		if _, ok := snapshotFieldMetrics[name]; !ok {
-			t.Errorf("Snapshot field %s has no Prometheus mapping — "+
-				"teach WriteProm about it and extend snapshotFieldMetrics", name)
-		}
-	}
-	for name := range snapshotFieldMetrics {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("mapping table names %s, which is not a Snapshot field", name)
-		}
-	}
-
-	snap := Snapshot{
+// populatedSnapshot fills every Snapshot field, so each family renders
+// with its full label set. It is the one hand-filled snapshot.
+func populatedSnapshot() Snapshot {
+	return Snapshot{
 		UptimeSeconds:      1,
 		Requests:           map[string]int64{"extract": 1},
 		Errors:             map[string]int64{"extract": 1},
@@ -388,6 +377,83 @@ func TestPromJSONParity(t *testing.T) {
 			SnapshotAgeSeconds: 1, Snapshots: 1,
 		},
 	}
+}
+
+// golden compares got with testdata/name byte for byte.
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from testdata/%s; got:\n%s", name, got)
+	}
+}
+
+// TestPromGolden pins the Prometheus exposition of the populated
+// snapshot byte for byte.
+func TestPromGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, populatedSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "populated.prom", buf.Bytes())
+}
+
+// TestSnapshotJSONGolden pins the JSON view of Metrics.Snapshot after a
+// fixed sequence of recording calls (the clock and build identity
+// zeroed).
+func TestSnapshotJSONGolden(t *testing.T) {
+	m := NewMetrics()
+	m.Request("extract", false)
+	m.Request("extract", true)
+	m.Request("ingest", false)
+	m.Extraction(300*time.Microsecond, nil)
+	m.Extraction(20*time.Millisecond, []extract.Failure{{Kind: extract.FailureMissingMandatory}})
+	m.Extraction(7*time.Second, []extract.Failure{{Kind: extract.FailureMultipleValues}})
+	m.Lifecycle("drift.alarm")
+	m.PageCache(true)
+	m.PageCache(false)
+	m.Router(RouterHit)
+	m.Router(RouterMiss)
+	m.Router(RouterUnrouted)
+	m.StreamExtract(true, "")
+	m.StreamExtract(false, "parsed-doc")
+	m.FetchRetry()
+	m.FetchOutcome("b.example", "ok")
+	m.FetchOutcome("a.example", "transient")
+	m.Shed()
+	m.PanicRecovered("handler")
+	m.Recrawl("clean")
+	snap := m.Snapshot()
+	snap.UptimeSeconds, snap.Build = 0, BuildInfo{}
+	got, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "snapshot.json", append(got, '\n'))
+}
+
+// TestPromJSONParity walks the Snapshot struct with reflection and
+// checks each field against the mapping table, then renders a fully
+// populated snapshot and checks every mapped family actually appears.
+func TestPromJSONParity(t *testing.T) {
+	st := reflect.TypeOf(Snapshot{})
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Field(i).Name
+		if _, ok := snapshotFieldMetrics[name]; !ok {
+			t.Errorf("Snapshot field %s has no Prometheus mapping — "+
+				"teach WriteProm about it and extend snapshotFieldMetrics", name)
+		}
+	}
+	for name := range snapshotFieldMetrics {
+		if _, ok := st.FieldByName(name); !ok {
+			t.Errorf("mapping table names %s, which is not a Snapshot field", name)
+		}
+	}
+
+	snap := populatedSnapshot()
 	var buf bytes.Buffer
 	if err := WriteProm(&buf, snap); err != nil {
 		t.Fatal(err)
