@@ -6,17 +6,15 @@ import (
 )
 
 // Histogram is a fixed-bucket latency histogram built for hot paths:
-// Observe is lock-free and allocation-free (atomic adds over
-// preallocated buckets, a CAS loop for the float sum), so per-page
-// pipeline instrumentation costs a few atomic operations and nothing
-// else. Buckets are upper bounds in ascending order; the implicit last
-// bucket is +Inf. The zero Histogram is unusable — construct with
-// NewHistogram.
+// Observe is lock-free and allocation-free (one atomic add on its
+// bucket, a CAS loop for the float sum), so per-page instrumentation
+// costs a few atomic operations and nothing else. Buckets are upper
+// bounds in ascending order; the implicit last bucket is +Inf. The zero
+// Histogram is unusable — construct with NewHistogram.
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits of the running sum
+	sumBits atomic.Uint64  // float64 bits of the running sum
 }
 
 // DefaultLatencyBuckets is the shared latency bucket layout, in seconds:
@@ -47,7 +45,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -74,12 +71,12 @@ type HistogramSnapshot struct {
 	Buckets []HistogramBucket `json:"buckets"`
 }
 
-// Snapshot copies the histogram counters. Concurrent Observes may land
-// between bucket reads; each individual counter is still exact and the
-// skew is at most the handful of observations in flight.
+// Snapshot copies the histogram counters. Count is the sum of the
+// bucket counts read, so it always equals the cumulative +Inf bucket.
+// Concurrent Observes may land between reads: the sum can then be off
+// by the handful of observations in flight.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:   h.count.Load(),
 		Sum:     math.Float64frombits(h.sumBits.Load()),
 		Buckets: make([]HistogramBucket, len(h.counts)),
 	}
@@ -89,6 +86,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			le = h.bounds[i]
 		}
 		s.Buckets[i] = HistogramBucket{LE: le, Count: h.counts[i].Load()}
+		s.Count += s.Buckets[i].Count
 	}
 	return s
 }

@@ -82,6 +82,8 @@ func TestHistogramObserveZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent snapshots while 8 goroutines observe: every
+// snapshot's Count must equal its +Inf bucket (the sum of the buckets).
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram(nil)
 	var wg sync.WaitGroup
@@ -90,14 +92,22 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.Observe(0.01)
+				h.Observe(0.01 * float64(i%3))
 			}
 		}()
 	}
-	wg.Wait()
-	if s := h.Snapshot(); s.Count != 8000 {
-		t.Fatalf("Count = %d, want 8000", s.Count)
+	for done := false; !done; {
+		s := h.Snapshot()
+		done = s.Count == 8000
+		inf := int64(0)
+		for _, b := range s.Buckets {
+			inf += b.Count
+		}
+		if s.Count != inf {
+			t.Fatalf("Count = %d, +Inf bucket = %d", s.Count, inf)
+		}
 	}
+	wg.Wait()
 }
 
 func TestPromWriterOutput(t *testing.T) {
