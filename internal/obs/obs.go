@@ -8,7 +8,9 @@
 //     grep follows one page end to end.
 //   - Histograms: fixed-bucket, atomic, zero-allocation latency
 //     histograms safe for the ingest hot path (Observe is lock-free and
-//     allocation-free; see the AllocsPerRun tests).
+//     allocation-free; see the AllocsPerRun tests). Histogram is the
+//     daemon's one histogram type: per-stage pipeline latency and
+//     per-page extraction latency both use it.
 //   - Prometheus exposition: a text-format (version 0.0.4) writer and a
 //     minimal parser/linter, so /metrics can serve the standard scrape
 //     format without importing a client library, and CI can enforce the
@@ -18,9 +20,12 @@
 //     every record with the context's trace ID.
 //
 // The package deliberately has no registry of live metric objects: the
-// daemon's single source of truth is the service Snapshot struct, and
-// both the JSON and the Prometheus views are rendered from it — the two
-// cannot drift.
+// daemon's single source of truth is the service Snapshot struct. The
+// JSON view marshals it; the Prometheus view renders it through the
+// service package's family table, which declares each family's name,
+// type, HELP, label keys and Snapshot fields once. Adding a metric takes
+// a recording call, a Snapshot field and one family entry; a test fails
+// on a field no entry claims, and cmd/metriclint lints the table.
 package obs
 
 import (

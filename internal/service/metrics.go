@@ -1,6 +1,7 @@
 package service
 
 import (
+	"maps"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -8,66 +9,61 @@ import (
 	"time"
 
 	"repro/internal/extract"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
-// latencyBuckets are the upper bounds (inclusive) of the latency
-// histogram, in seconds — a coarse log-ish scale from sub-millisecond to
-// multi-second extractions. The implicit last bucket is +Inf.
-var latencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
 // Metrics accumulates extractd's operational counters: requests and
-// errors per endpoint, extraction failures by FailureKind, pages
-// extracted, and an extraction-latency histogram. All methods are safe
-// for concurrent use.
+// errors per endpoint, extraction failures by FailureKind, and an
+// extraction-latency histogram whose count is the pages extracted. All
+// methods are safe for concurrent use.
 type Metrics struct {
-	mu        sync.Mutex
-	start     time.Time
-	requests  map[string]int64 // endpoint → count
-	errors    map[string]int64 // endpoint → non-2xx count
-	failures  map[string]int64 // FailureKind.String() → count
-	events    map[string]int64 // lifecycle event → count
-	pages     int64
-	histogram []int64 // len(latencyBuckets)+1, last is +Inf
-	latSum    float64
-	latCount  int64
+	start   time.Time
+	latency *obs.Histogram // extraction latency in seconds
 
-	// Page-parse cache traffic; atomics so the extraction hot path never
-	// touches the metrics mutex for a cache probe.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
+	// mu guards every labeled counter together, so a snapshot sees them
+	// at one instant: never more errors than requests.
+	mu       sync.Mutex
+	requests counts[string] // endpoint → count
+	errors   counts[string] // endpoint → non-2xx count
+	failures counts[string] // FailureKind.String() → count
+	events   counts[string] // lifecycle event → count
+	panics   counts[string] // stage → recovered panic count
+	reasons  counts[string] // stream fallback reason → count
+	recrawls counts[string] // scheduled recrawl outcome → count
+	fetch    counts[fetchKey]
 
-	// Page-router outcomes; atomics because routing happens on pipeline
-	// workers.
-	routerHits     atomic.Int64
-	routerMisses   atomic.Int64
-	routerUnrouted atomic.Int64
-
-	// Resilience counters (PR 8): outbound fetch retries and per-host
-	// outcomes, load-shed admissions, and panics recovered per stage.
-	fetchRetries atomic.Int64
-	shed         atomic.Int64
-	fetch        map[fetchKey]int64 // (host, outcome) → count; under mu
-	panics       map[string]int64   // stage → recovered panic count; under mu
-
-	// Streaming-extraction path outcomes (PR 9): hits ran the compiled
-	// automaton straight over the token stream; fallbacks parsed a DOM.
-	// Atomics for the hot-path counters, the per-reason breakdown under mu.
-	streamHits      atomic.Int64
-	streamFallbacks atomic.Int64
-	streamReasons   map[string]int64 // fallback reason → count; under mu
-
-	// Scheduled-recrawl outcomes (clean/repaired/failed); under mu.
-	recrawls map[string]int64
+	// Hot-path counters are atomics, so a cache probe, a routing
+	// decision or a stream hit never touches the mutex.
+	cacheHits, cacheMisses                   atomic.Int64
+	routerHits, routerMisses, routerUnrouted atomic.Int64
+	fetchRetries, shed                       atomic.Int64
+	streamHits, streamFallbacks              atomic.Int64
 
 	// Pipeline carries the per-stage spine telemetry (Source/Classify/
 	// Extract/Sink latency histograms, in-flight gauges, error counters)
 	// shared by every pipeline run the server drives — /ingest,
 	// /extract/batch — and snapshotted into /metrics.
 	Pipeline *pipeline.Telemetry
+}
+
+// counts is a set of counters keyed by label value. It has no lock of
+// its own: Metrics.mu guards them all.
+type counts[K comparable] map[K]int64
+
+func (c *counts[K]) inc(k K) {
+	if *c == nil {
+		*c = counts[K]{}
+	}
+	(*c)[k]++
+}
+
+// clone copies the counters into a fresh, never-nil map.
+func (c counts[K]) clone() map[K]int64 {
+	out := make(map[K]int64, len(c))
+	maps.Copy(out, c)
+	return out
 }
 
 // fetchKey indexes per-host fetch outcome counters.
@@ -103,13 +99,9 @@ func (m *Metrics) Router(o RouterOutcome) {
 // NewMetrics creates zeroed metrics with the uptime clock started.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:     time.Now(),
-		requests:  map[string]int64{},
-		errors:    map[string]int64{},
-		failures:  map[string]int64{},
-		events:    map[string]int64{},
-		histogram: make([]int64, len(latencyBuckets)+1),
-		Pipeline:  pipeline.NewTelemetry(),
+		start:    time.Now(),
+		latency:  obs.NewHistogram(nil),
+		Pipeline: pipeline.NewTelemetry(),
 	}
 }
 
@@ -125,10 +117,7 @@ func (m *Metrics) Shed() { m.shed.Add(1) }
 // "breaker_open".
 func (m *Metrics) FetchOutcome(host, outcome string) {
 	m.mu.Lock()
-	if m.fetch == nil {
-		m.fetch = map[fetchKey]int64{}
-	}
-	m.fetch[fetchKey{host, outcome}]++
+	m.fetch.inc(fetchKey{host, outcome})
 	m.mu.Unlock()
 }
 
@@ -137,10 +126,7 @@ func (m *Metrics) FetchOutcome(host, outcome string) {
 // "repair").
 func (m *Metrics) PanicRecovered(stage string) {
 	m.mu.Lock()
-	if m.panics == nil {
-		m.panics = map[string]int64{}
-	}
-	m.panics[stage]++
+	m.panics.inc(stage)
 	m.mu.Unlock()
 }
 
@@ -154,10 +140,7 @@ func (m *Metrics) StreamExtract(hit bool, reason string) {
 	}
 	m.streamFallbacks.Add(1)
 	m.mu.Lock()
-	if m.streamReasons == nil {
-		m.streamReasons = map[string]int64{}
-	}
-	m.streamReasons[reason]++
+	m.reasons.inc(reason)
 	m.mu.Unlock()
 }
 
@@ -165,10 +148,7 @@ func (m *Metrics) StreamExtract(hit bool, reason string) {
 // ("clean", "repaired" or "failed").
 func (m *Metrics) Recrawl(outcome string) {
 	m.mu.Lock()
-	if m.recrawls == nil {
-		m.recrawls = map[string]int64{}
-	}
-	m.recrawls[outcome]++
+	m.recrawls.inc(outcome)
 	m.mu.Unlock()
 }
 
@@ -185,16 +165,16 @@ func (m *Metrics) PageCache(hit bool) {
 // repair attempted/promoted/failed, rollback, …).
 func (m *Metrics) Lifecycle(event string) {
 	m.mu.Lock()
-	m.events[event]++
+	m.events.inc(event)
 	m.mu.Unlock()
 }
 
 // Request records one request to an endpoint and whether it errored.
 func (m *Metrics) Request(endpoint string, isError bool) {
 	m.mu.Lock()
-	m.requests[endpoint]++
+	m.requests.inc(endpoint)
 	if isError {
-		m.errors[endpoint]++
+		m.errors.inc(endpoint)
 	}
 	m.mu.Unlock()
 }
@@ -202,24 +182,15 @@ func (m *Metrics) Request(endpoint string, isError bool) {
 // Extraction records one completed page extraction: its latency and any
 // detected failures.
 func (m *Metrics) Extraction(d time.Duration, failures []extract.Failure) {
-	secs := d.Seconds()
+	m.latency.Observe(d.Seconds())
+	if len(failures) == 0 {
+		return
+	}
 	m.mu.Lock()
-	m.pages++
-	m.latSum += secs
-	m.latCount++
-	i := sort.SearchFloat64s(latencyBuckets, secs)
-	m.histogram[i]++
 	for _, f := range failures {
-		m.failures[f.Kind.String()]++
+		m.failures.inc(f.Kind.String())
 	}
 	m.mu.Unlock()
-}
-
-// HistogramBucket is one latency bucket of the snapshot.
-type HistogramBucket struct {
-	// LE is the bucket's inclusive upper bound in seconds; 0 marks +Inf.
-	LE    float64 `json:"le,omitempty"`
-	Count int64   `json:"count"`
 }
 
 // PoolSnapshot is the worker pool's saturation picture: static sizing
@@ -257,9 +228,11 @@ var readBuildInfo = sync.OnceValue(func() BuildInfo {
 
 // Snapshot is a point-in-time copy of every operational counter — the
 // single source of truth behind both /metrics views: the JSON body is
-// this struct marshalled, and the Prometheus text exposition is this
-// struct rendered by WriteProm. Adding a field here without teaching
-// WriteProm about it fails the parity test in promexpo_test.go.
+// this struct marshalled, and the Prometheus text exposition renders it
+// through the family table in promexpo.go. Adding a metric takes a
+// recording call (a Metrics method, or a line in MetricsSnapshot), a
+// field here and one family entry; TestPromJSONParity fails on a field
+// no family claims.
 type Snapshot struct {
 	UptimeSeconds      float64          `json:"uptimeSeconds"`
 	Requests           map[string]int64 `json:"requests"`
@@ -287,10 +260,11 @@ type Snapshot struct {
 	UnroutedEvicted       int64            `json:"unroutedEvicted,omitempty"`
 	// UnroutedDropped counts pages the buffer refused outright (never
 	// retained), distinct from evicted (retained then displaced).
-	UnroutedDropped   int64             `json:"unroutedDropped,omitempty"`
-	LatencySumSeconds float64           `json:"latencySumSeconds"`
-	LatencyCount      int64             `json:"latencyCount"`
-	LatencyHistogram  []HistogramBucket `json:"latencyHistogram"`
+	UnroutedDropped int64 `json:"unroutedDropped,omitempty"`
+	// The extraction-latency histogram; PagesExtracted is its count.
+	LatencySumSeconds float64               `json:"latencySumSeconds"`
+	LatencyCount      int64                 `json:"latencyCount"`
+	LatencyHistogram  []obs.HistogramBucket `json:"latencyHistogram"`
 	// Pool is the worker pool's live saturation state.
 	Pool PoolSnapshot `json:"pool"`
 	// Repos carries per-repo, per-version extraction counters from the
@@ -347,83 +321,46 @@ type BreakerStatus struct {
 	State int    `json:"state"`
 }
 
-// Snapshot returns a consistent copy of every counter.
+// Snapshot returns a copy of every counter; the labeled counters are
+// copied under one lock.
 func (m *Metrics) Snapshot() Snapshot {
+	lat := m.latency.Snapshot()
+	s := Snapshot{
+		UptimeSeconds:     time.Since(m.start).Seconds(),
+		PagesExtracted:    lat.Count,
+		PageCacheHits:     m.cacheHits.Load(),
+		PageCacheMisses:   m.cacheMisses.Load(),
+		RouterHits:        m.routerHits.Load(),
+		RouterMisses:      m.routerMisses.Load(),
+		RouterUnrouted:    m.routerUnrouted.Load(),
+		StreamHits:        m.streamHits.Load(),
+		StreamFallbacks:   m.streamFallbacks.Load(),
+		LatencySumSeconds: lat.Sum,
+		LatencyCount:      lat.Count,
+		LatencyHistogram:  lat.Buckets,
+		FetchRetries:      m.fetchRetries.Load(),
+		Shed:              m.shed.Load(),
+		Pipeline:          m.Pipeline.Snapshot(),
+		Build:             readBuildInfo(),
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Snapshot{
-		UptimeSeconds:      time.Since(m.start).Seconds(),
-		Requests:           make(map[string]int64, len(m.requests)),
-		Errors:             make(map[string]int64, len(m.errors)),
-		ExtractionFailures: make(map[string]int64, len(m.failures)),
-		PagesExtracted:     m.pages,
-		PageCacheHits:      m.cacheHits.Load(),
-		PageCacheMisses:    m.cacheMisses.Load(),
-		RouterHits:         m.routerHits.Load(),
-		RouterMisses:       m.routerMisses.Load(),
-		RouterUnrouted:     m.routerUnrouted.Load(),
-		StreamHits:         m.streamHits.Load(),
-		StreamFallbacks:    m.streamFallbacks.Load(),
-		LatencySumSeconds:  m.latSum,
-		LatencyCount:       m.latCount,
-		FetchRetries:       m.fetchRetries.Load(),
-		Shed:               m.shed.Load(),
+	s.Requests = m.requests.clone()
+	s.Errors = m.errors.clone()
+	s.ExtractionFailures = m.failures.clone()
+	s.Lifecycle = m.events.clone()
+	s.PanicsRecovered = m.panics.clone()
+	s.StreamFallbackReasons = m.reasons.clone()
+	s.Recrawls = m.recrawls.clone()
+	for k, v := range m.fetch {
+		s.Fetch = append(s.Fetch, FetchOutcomeCount{Host: k.host, Outcome: k.outcome, Count: v})
 	}
-	if len(m.fetch) > 0 {
-		s.Fetch = make([]FetchOutcomeCount, 0, len(m.fetch))
-		for k, v := range m.fetch {
-			s.Fetch = append(s.Fetch, FetchOutcomeCount{Host: k.host, Outcome: k.outcome, Count: v})
+	sort.Slice(s.Fetch, func(i, j int) bool {
+		if s.Fetch[i].Host != s.Fetch[j].Host {
+			return s.Fetch[i].Host < s.Fetch[j].Host
 		}
-		sort.Slice(s.Fetch, func(i, j int) bool {
-			if s.Fetch[i].Host != s.Fetch[j].Host {
-				return s.Fetch[i].Host < s.Fetch[j].Host
-			}
-			return s.Fetch[i].Outcome < s.Fetch[j].Outcome
-		})
-	}
-	if len(m.panics) > 0 {
-		s.PanicsRecovered = make(map[string]int64, len(m.panics))
-		for k, v := range m.panics {
-			s.PanicsRecovered[k] = v
-		}
-	}
-	if len(m.streamReasons) > 0 {
-		s.StreamFallbackReasons = make(map[string]int64, len(m.streamReasons))
-		for k, v := range m.streamReasons {
-			s.StreamFallbackReasons[k] = v
-		}
-	}
-	if len(m.recrawls) > 0 {
-		s.Recrawls = make(map[string]int64, len(m.recrawls))
-		for k, v := range m.recrawls {
-			s.Recrawls[k] = v
-		}
-	}
-	for k, v := range m.requests {
-		s.Requests[k] = v
-	}
-	for k, v := range m.errors {
-		s.Errors[k] = v
-	}
-	for k, v := range m.failures {
-		s.ExtractionFailures[k] = v
-	}
-	if len(m.events) > 0 {
-		s.Lifecycle = make(map[string]int64, len(m.events))
-		for k, v := range m.events {
-			s.Lifecycle[k] = v
-		}
-	}
-	s.LatencyHistogram = make([]HistogramBucket, 0, len(m.histogram))
-	for i, c := range m.histogram {
-		b := HistogramBucket{Count: c}
-		if i < len(latencyBuckets) {
-			b.LE = latencyBuckets[i]
-		}
-		s.LatencyHistogram = append(s.LatencyHistogram, b)
-	}
-	s.Pipeline = m.Pipeline.Snapshot()
-	s.Build = readBuildInfo()
+		return s.Fetch[i].Outcome < s.Fetch[j].Outcome
+	})
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +62,8 @@ func familyByName(fams []*obs.PromFamily, name string) *obs.PromFamily {
 
 // TestPromExpositionGolden is the scrape acceptance test: real traffic
 // through a real server, then the text exposition must parse, lint
-// clean, declare every expected family with the right type, and agree
-// with the JSON view served from the same endpoint.
+// clean, render exactly the declared families and agree with the JSON
+// view served from the same endpoint.
 func TestPromExpositionGolden(t *testing.T) {
 	srv, ts := newTestServer(t)
 	repo := testRepo(t, "movies")
@@ -103,72 +104,8 @@ func TestPromExpositionGolden(t *testing.T) {
 		t.Fatalf("exposition fails lint:\n%s", strings.Join(problems, "\n"))
 	}
 
-	// Every family, with its type.
-	wantTypes := map[string]string{
-		"extractd_build_info":                      "gauge",
-		"extractd_uptime_seconds":                  "gauge",
-		"extractd_requests_total":                  "counter",
-		"extractd_request_errors_total":            "counter",
-		"extractd_pages_extracted_total":           "counter",
-		"extractd_extraction_failures_total":       "counter",
-		"extractd_lifecycle_events_total":          "counter",
-		"extractd_page_cache_hits_total":           "counter",
-		"extractd_page_cache_misses_total":         "counter",
-		"extractd_router_decisions_total":          "counter",
-		"extractd_stream_extract_total":            "counter",
-		"extractd_stream_fallback_total":           "counter",
-		"extractd_extraction_duration_seconds":     "histogram",
-		"extractd_pool_workers":                    "gauge",
-		"extractd_pool_queue_depth":                "gauge",
-		"extractd_pool_queue_capacity":             "gauge",
-		"extractd_pool_in_flight":                  "gauge",
-		"extractd_pool_saturation_ratio":           "gauge",
-		"extractd_repo_pages_total":                "counter",
-		"extractd_repo_failed_pages_total":         "counter",
-		"extractd_repo_failures_total":             "counter",
-		"extractd_repo_active_version":             "gauge",
-		"extractd_pipeline_stage_duration_seconds": "histogram",
-		"extractd_pipeline_stage_in_flight":        "gauge",
-		"extractd_pipeline_stage_errors_total":     "counter",
-		"extractd_induction_jobs":                  "gauge",
-		"extractd_unrouted_buffered_pages":         "gauge",
-		"extractd_unrouted_buffered_bytes":         "gauge",
-		"extractd_unrouted_evicted_total":          "counter",
-		"extractd_unrouted_dropped_total":          "counter",
-		"extractd_store_wal_bytes":                 "gauge",
-		"extractd_store_wal_records_total":         "counter",
-		"extractd_store_fsyncs_total":              "counter",
-		"extractd_store_torn_tails_total":          "counter",
-		"extractd_store_replay_records_total":      "counter",
-		"extractd_store_replay_duration_seconds":   "gauge",
-		"extractd_store_snapshot_age_seconds":      "gauge",
-		"extractd_store_snapshots_total":           "counter",
-		"extractd_fetch_retries_total":             "counter",
-		"extractd_fetch_total":                     "counter",
-		"extractd_fetch_breaker_state":             "gauge",
-		"extractd_shed_total":                      "counter",
-		"extractd_panics_recovered_total":          "counter",
-		"extractd_recrawl_total":                   "counter",
-		"extractd_recrawl_interval_seconds":        "gauge",
-		"extractd_changefeed_records_total":        "counter",
-	}
-	for name, typ := range wantTypes {
-		f := familyByName(fams, name)
-		if f == nil {
-			t.Errorf("exposition missing family %s", name)
-			continue
-		}
-		if f.Type != typ {
-			t.Errorf("%s type = %q, want %q", name, f.Type, typ)
-		}
-		if f.Help == "" {
-			t.Errorf("%s has no HELP", name)
-		}
-	}
-	if len(fams) != len(wantTypes) {
-		t.Errorf("exposition has %d families, expected table lists %d:\n%s",
-			len(fams), len(wantTypes), raw)
-	}
+	// Exactly the declared families, in order.
+	assertDeclared(t, fams, raw)
 
 	// Spot-check values against the JSON view of the same counters.
 	reqs := familyByName(fams, "extractd_requests_total")
@@ -273,66 +210,6 @@ func TestPromAcceptVariants(t *testing.T) {
 	}
 }
 
-// snapshotFieldMetrics is the parity contract between the JSON and the
-// Prometheus views of /metrics: every Snapshot field maps to the metric
-// families that render it. Adding a Snapshot field without extending
-// WriteProm (and this table) fails TestPromJSONParity — the two views
-// cannot drift apart silently.
-var snapshotFieldMetrics = map[string][]string{
-	"UptimeSeconds":         {"extractd_uptime_seconds"},
-	"Requests":              {"extractd_requests_total"},
-	"Errors":                {"extractd_request_errors_total"},
-	"ExtractionFailures":    {"extractd_extraction_failures_total"},
-	"Lifecycle":             {"extractd_lifecycle_events_total"},
-	"PagesExtracted":        {"extractd_pages_extracted_total"},
-	"PageCacheHits":         {"extractd_page_cache_hits_total"},
-	"PageCacheMisses":       {"extractd_page_cache_misses_total"},
-	"RouterHits":            {"extractd_router_decisions_total"},
-	"RouterMisses":          {"extractd_router_decisions_total"},
-	"RouterUnrouted":        {"extractd_router_decisions_total"},
-	"StreamHits":            {"extractd_stream_extract_total"},
-	"StreamFallbacks":       {"extractd_stream_extract_total"},
-	"StreamFallbackReasons": {"extractd_stream_fallback_total"},
-	"InductionJobs":         {"extractd_induction_jobs"},
-	"UnroutedBuffered":      {"extractd_unrouted_buffered_pages"},
-	"UnroutedBufferedBytes": {"extractd_unrouted_buffered_bytes"},
-	"UnroutedEvicted":       {"extractd_unrouted_evicted_total"},
-	"UnroutedDropped":       {"extractd_unrouted_dropped_total"},
-	"Store": {
-		"extractd_store_wal_bytes", "extractd_store_wal_records_total",
-		"extractd_store_fsyncs_total", "extractd_store_torn_tails_total",
-		"extractd_store_replay_records_total",
-		"extractd_store_replay_duration_seconds",
-		"extractd_store_snapshot_age_seconds", "extractd_store_snapshots_total",
-	},
-	"LatencySumSeconds": {"extractd_extraction_duration_seconds"},
-	"LatencyCount":      {"extractd_extraction_duration_seconds"},
-	"LatencyHistogram":  {"extractd_extraction_duration_seconds"},
-	"Pool": {
-		"extractd_pool_workers", "extractd_pool_queue_depth",
-		"extractd_pool_queue_capacity", "extractd_pool_in_flight",
-		"extractd_pool_saturation_ratio",
-	},
-	"Repos": {
-		"extractd_repo_pages_total", "extractd_repo_failed_pages_total",
-		"extractd_repo_failures_total", "extractd_repo_active_version",
-	},
-	"Pipeline": {
-		"extractd_pipeline_stage_duration_seconds",
-		"extractd_pipeline_stage_in_flight",
-		"extractd_pipeline_stage_errors_total",
-	},
-	"FetchRetries":      {"extractd_fetch_retries_total"},
-	"Fetch":             {"extractd_fetch_total"},
-	"Breakers":          {"extractd_fetch_breaker_state"},
-	"Shed":              {"extractd_shed_total"},
-	"PanicsRecovered":   {"extractd_panics_recovered_total"},
-	"Recrawls":          {"extractd_recrawl_total"},
-	"Schedules":         {"extractd_recrawl_interval_seconds"},
-	"ChangefeedRecords": {"extractd_changefeed_records_total"},
-	"Build":             {"extractd_build_info"},
-}
-
 // populatedSnapshot fills every Snapshot field, so each family renders
 // with its full label set. It is the one hand-filled snapshot.
 func populatedSnapshot() Snapshot {
@@ -350,7 +227,7 @@ func populatedSnapshot() Snapshot {
 		UnroutedBuffered:      1, UnroutedBufferedBytes: 1, UnroutedEvicted: 1,
 		UnroutedDropped:   1,
 		LatencySumSeconds: 0.1, LatencyCount: 1,
-		LatencyHistogram: []HistogramBucket{{LE: 0.1, Count: 1}, {Count: 0}},
+		LatencyHistogram: []obs.HistogramBucket{{LE: 0.1, Count: 1}, {Count: 0}},
 		Pool:             PoolSnapshot{Workers: 1, QueueDepth: 1, QueueCapacity: 1, InFlight: 1, SaturationRatio: 1},
 		Repos:            []RepoVersionCount{{Repo: "r", Version: 1, Active: true, Pages: 1}},
 		Pipeline: pipeline.TelemetrySnapshot{{
@@ -435,25 +312,58 @@ func TestSnapshotJSONGolden(t *testing.T) {
 	golden(t, "snapshot.json", append(got, '\n'))
 }
 
-// TestPromJSONParity walks the Snapshot struct with reflection and
-// checks each field against the mapping table, then renders a fully
-// populated snapshot and checks every mapped family actually appears.
-func TestPromJSONParity(t *testing.T) {
-	st := reflect.TypeOf(Snapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		if _, ok := snapshotFieldMetrics[name]; !ok {
-			t.Errorf("Snapshot field %s has no Prometheus mapping — "+
-				"teach WriteProm about it and extend snapshotFieldMetrics", name)
+// assertDeclared checks that an exposition renders exactly the declared
+// families, in order, each with its declared type and HELP, and that
+// every sample carries exactly its family's declared label keys (plus
+// le on histogram buckets).
+func assertDeclared(t *testing.T, fams []*obs.PromFamily, raw string) {
+	t.Helper()
+	if len(fams) != len(families) {
+		t.Fatalf("exposition has %d families, %d declared:\n%s", len(fams), len(families), raw)
+	}
+	for i, f := range fams {
+		d := families[i]
+		if f.Name != d.Name || f.Type != d.Type || f.Help != d.Help {
+			t.Errorf("family %d = %s %s %q, declared %s %s %q", i, f.Name, f.Type, f.Help, d.Name, d.Type, d.Help)
+		}
+		for _, s := range f.Samples {
+			want := d.Labels
+			if strings.HasSuffix(s.Name, "_bucket") {
+				want = append(slices.Clip(want), "le")
+			}
+			var keys []string
+			for _, l := range s.Labels {
+				keys = append(keys, l.Key)
+			}
+			if !slices.Equal(keys, want) {
+				t.Errorf("%s sample has label keys %v, declared %v", s.Name, keys, want)
+			}
 		}
 	}
-	for name := range snapshotFieldMetrics {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("mapping table names %s, which is not a Snapshot field", name)
+}
+
+// TestPromJSONParity checks that every Snapshot field is claimed by a
+// family entry and every claim names a real field, then renders the
+// populated snapshot: every family must yield samples that carry exactly
+// its declared label keys.
+func TestPromJSONParity(t *testing.T) {
+	snap := populatedSnapshot()
+	claimed := map[string]bool{}
+	for _, f := range families {
+		for _, path := range f.fields {
+			claimed[strings.Split(path, ".")[0]] = true
+			if !field(&snap, path).IsValid() {
+				t.Errorf("%s claims %s, which is not a Snapshot field", f.Name, path)
+			}
+		}
+	}
+	st := reflect.TypeOf(snap)
+	for i := 0; i < st.NumField(); i++ {
+		if name := st.Field(i).Name; !claimed[name] {
+			t.Errorf("Snapshot field %s is claimed by no family entry in promexpo.go", name)
 		}
 	}
 
-	snap := populatedSnapshot()
 	var buf bytes.Buffer
 	if err := WriteProm(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -462,11 +372,10 @@ func TestPromJSONParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, metrics := range snapshotFieldMetrics {
-		for _, m := range metrics {
-			if familyByName(fams, m) == nil {
-				t.Errorf("field %s maps to %s, which the exposition does not render", field, m)
-			}
+	assertDeclared(t, fams, buf.String())
+	for _, f := range fams {
+		if len(f.Samples) == 0 {
+			t.Errorf("%s renders no samples from the populated snapshot", f.Name)
 		}
 	}
 
