@@ -183,7 +183,7 @@ var families = []Family{
 	value(gauge, "extractd_unrouted_buffered_pages",
 		"Unrouted pages retained in the induction buffer.", "UnroutedBuffered"),
 	value(gauge, "extractd_unrouted_buffered_bytes",
-		"Approximate bytes retained in the induction buffer.", "UnroutedBufferedBytes"),
+		"Bytes of unrouted page markup retained in the induction buffer.", "UnroutedBufferedBytes"),
 	value(counter, "extractd_unrouted_evicted_total",
 		"Unrouted pages evicted from the induction buffer.", "UnroutedEvicted"),
 	value(counter, "extractd_unrouted_dropped_total",
