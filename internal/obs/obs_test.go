@@ -113,11 +113,14 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestPromWriterOutput(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("extractd_pages_total", "Pages.", 42)
-	p.Gauge("extractd_pool_workers", "Workers.", 4)
+	p.Family("extractd_pages_total", "counter", "Pages.")
+	p.Sample("extractd_pages_total", nil, 42)
+	p.Family("extractd_pool_workers", "gauge", "Workers.")
+	p.Sample("extractd_pool_workers", nil, 4)
 	p.Family("extractd_requests_total", "counter", "Requests with \"quotes\"\nand newline.")
 	p.Sample("extractd_requests_total", []Label{{Key: "endpoint", Value: `a"b\c` + "\n"}}, 7)
-	p.Histogram("extractd_lat_seconds", "Latency.", HistogramSnapshot{
+	p.Family("extractd_lat_seconds", "histogram", "Latency.")
+	p.HistogramSamples("extractd_lat_seconds", nil, HistogramSnapshot{
 		Count: 3, Sum: 0.25,
 		Buckets: []HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
 	})
@@ -144,11 +147,13 @@ func TestPromWriterOutput(t *testing.T) {
 func TestParsePromRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("extractd_pages_total", "Pages.", 42)
-	p.Histogram("extractd_lat_seconds", "Latency.", HistogramSnapshot{
+	p.Family("extractd_pages_total", "counter", "Pages.")
+	p.Sample("extractd_pages_total", nil, 42)
+	p.Family("extractd_lat_seconds", "histogram", "Latency.")
+	p.HistogramSamples("extractd_lat_seconds", []Label{{Key: "stage", Value: "extract"}}, HistogramSnapshot{
 		Count: 3, Sum: 0.25,
 		Buckets: []HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
-	}, Label{Key: "stage", Value: "extract"})
+	})
 	fams, err := ParseProm(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -67,27 +67,9 @@ func (p *PromWriter) Sample(name string, labels []Label, value float64) {
 	p.flush()
 }
 
-// Counter writes a complete single-sample counter family.
-func (p *PromWriter) Counter(name, help string, value float64, labels ...Label) {
-	p.Family(name, "counter", help)
-	p.Sample(name, labels, value)
-}
-
-// Gauge writes a complete single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, value float64, labels ...Label) {
-	p.Family(name, "gauge", help)
-	p.Sample(name, labels, value)
-}
-
-// Histogram writes a complete histogram family from a snapshot: the
-// cumulative _bucket series (le up to +Inf), _sum and _count.
-func (p *PromWriter) Histogram(name, help string, snap HistogramSnapshot, labels ...Label) {
-	p.Family(name, "histogram", help)
-	p.HistogramSamples(name, labels, snap)
-}
-
 // HistogramSamples writes one labeled series of an already-started
-// histogram family (per-stage histograms share one family).
+// histogram family: the cumulative _bucket series (le up to +Inf), _sum
+// and _count.
 func (p *PromWriter) HistogramSamples(name string, labels []Label, snap HistogramSnapshot) {
 	if p.err != nil {
 		return
