@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"strings"
@@ -261,19 +262,101 @@ var jsonSafe = func() (t [256]bool) {
 	return t
 }()
 
+// AppendIndented appends src, a compact JSON text such as AppendJSON
+// writes, to dst indented exactly as json.Indent(dst, src, "", "  ")
+// would: each element and key on its own line, two spaces per level,
+// ": " after keys, empty objects and arrays left as {} and [], and
+// string literals copied verbatim. Unlike json.Indent it does not
+// validate: src must hold no whitespace between tokens, and what it
+// writes for anything but valid compact JSON is unspecified.
+func AppendIndented(dst, src []byte) []byte {
+	depth := 0
+	open := false // just wrote '{' or '[': indent unless it closes at once
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if open {
+			open = false
+			if c == '}' || c == ']' {
+				dst = append(dst, c)
+				continue
+			}
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			end := stringEnd(src, i+1)
+			dst = append(dst, src[i:end]...)
+			i = end - 1
+		case '{', '[':
+			open = true
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// stringEnd returns the index just past the closing quote of the string
+// literal whose body starts at src[i], or len(src) when it is
+// unterminated. A quote ends the literal unless an odd run of
+// backslashes precedes it.
+func stringEnd(src []byte, i int) int {
+	for {
+		k := bytes.IndexByte(src[i:], '"')
+		if k < 0 {
+			return len(src)
+		}
+		q := i + k
+		n := 0
+		for src[q-n-1] == '\\' {
+			n++
+		}
+		if n%2 == 0 {
+			return q + 1
+		}
+		i = q + 1
+	}
+}
+
+// indentSpaces is the run appendNewline copies indentation from, 16
+// levels per append.
+const indentSpaces = "                                "
+
+// appendNewline appends a newline and depth levels of indentation.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; 2*depth > len(indentSpaces); depth -= len(indentSpaces) / 2 {
+		dst = append(dst, indentSpaces...)
+	}
+	return append(dst, indentSpaces[:2*depth]...)
+}
+
+// jsonDocument returns the element's JSON document, a single-key object
+// naming the element, indented as json.MarshalIndent(…, "", "  ")
+// writes it.
+func (e *Element) jsonDocument() []byte {
+	compact := append(AppendJSONString([]byte{'{'}, e.Name), ':')
+	compact = append(e.AppendJSON(compact), '}')
+	return AppendIndented(nil, compact)
+}
+
 // WriteJSON serializes the element as indented JSON, wrapped in a
 // single-key object naming the element — the JSON analogue of WriteXML.
 func (e *Element) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{e.Name: e.JSONValue()})
+	_, err := w.Write(append(e.jsonDocument(), '\n'))
+	return err
 }
 
 // JSONString returns the serialized JSON document.
 func (e *Element) JSONString() string {
-	b, err := json.MarshalIndent(map[string]any{e.Name: e.JSONValue()}, "", "  ")
-	if err != nil {
-		return ""
-	}
-	return string(b)
+	return string(e.jsonDocument())
 }

@@ -84,6 +84,13 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if b.String() != page.JSONString()+"\n" {
 		t.Error("JSONString and WriteJSON disagree")
 	}
+	want, err := json.MarshalIndent(map[string]any{"movie": page.JSONValue()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.JSONString() != string(want) {
+		t.Errorf("JSONString diverges from json.MarshalIndent\n  got  %s\n  want %s", page.JSONString(), want)
+	}
 }
 
 // TestJSONMatchesExtraction ties the encoder to real extraction output:
@@ -232,4 +239,57 @@ func TestAppendJSONMatchesExtraction(t *testing.T) {
 		el, _ := p.ExtractPage(page)
 		appendJSONMatches(t, el)
 	}
+}
+
+// indentedMatches requires AppendIndented to write exactly what
+// json.Indent writes for the compact JSON text src, onto a non-empty dst.
+func indentedMatches(t *testing.T, src []byte) {
+	t.Helper()
+	var want bytes.Buffer
+	want.WriteString("prefix")
+	if err := json.Indent(&want, src, "", "  "); err != nil {
+		t.Fatalf("json.Indent(%q): %v", src, err)
+	}
+	if got := AppendIndented([]byte("prefix"), src); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("AppendIndented diverges from json.Indent on %q\n  got  %s\n  want %s", src, got, want.Bytes())
+	}
+}
+
+// FuzzAppendIndented is the differential guarantee of the hand-written
+// indenter: on the compact JSON of arbitrary element trees it writes
+// json.Indent's bytes, and the element's JSON document equals
+// json.MarshalIndent's. The seeds put JSON punctuation, escaped quotes,
+// trailing backslashes, U+2028 and invalid UTF-8 inside strings, where
+// the indenter must copy them verbatim. s1, when it is valid JSON on its
+// own, is compacted and indented too, which reaches numbers, literals,
+// empty objects and arrays, and nesting deeper than element trees get.
+func FuzzAppendIndented(f *testing.F) {
+	f.Add([]byte{}, "", "")
+	f.Add([]byte{1, 15, 1, 16}, `{"a":[1,{}]}`, `,:[]{}`)
+	f.Add([]byte{2, 15, 3, 16, 1, 15}, `a\"b`, `}]"`)
+	f.Add([]byte{1, 15, 1, 16, 0, 15, 1, 16}, `tail\`, `\\"`)
+	f.Add([]byte{1, 11, 1, 12, 2, 13, 3, 15}, " {", "\xff:\"")
+	f.Add([]byte{0, 15, 0, 16, 0, 15, 1, 16, 4, 0, 1, 15}, `[[[[[[[[[[[[[[[[[[[[[[[["x"]]]]]]]]]]]]]]]]]]]]]]]]`, `{"":{},"b":[[],[{}]]," ":null}`)
+	f.Add([]byte{1, 3, 1, 3, 2, 15}, `[true,false,-1.5e-7,0," "]`, `"\\"`)
+	f.Fuzz(func(t *testing.T, ops []byte, s1, s2 string) {
+		if len(ops) > 4096 || len(s1) > 4096 {
+			t.Skip("bounded input size")
+		}
+		e := fuzzElement(ops, s1, s2)
+		indentedMatches(t, e.AppendJSON(nil))
+		want, err := json.MarshalIndent(map[string]any{e.Name: e.JSONValue()}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.JSONString(); got != string(want) {
+			t.Fatalf("JSONString diverges from json.MarshalIndent\n  got  %s\n  want %s", got, want)
+		}
+		if json.Valid([]byte(s1)) {
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, []byte(s1)); err != nil {
+				t.Fatal(err)
+			}
+			indentedMatches(t, compact.Bytes())
+		}
+	})
 }

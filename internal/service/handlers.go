@@ -485,15 +485,35 @@ func errf(status int, format string, args ...any) *httpError {
 
 // readBody reads a request body up to the server's limit, rejecting —
 // not truncating — anything larger: a silently cut-off HTML page would
-// extract to a wrong-but-200 record.
+// extract to a wrong-but-200 record. A declared Content-Length within the
+// limit sizes the buffer up front, one byte over so the read that meets
+// EOF needs no growth; otherwise the buffer doubles. Either way it never
+// holds more than limit+1 bytes, the one byte that proves a body too big.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody()+1))
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "reading body: %v", err)
+	limit := s.maxBody()
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		size = n + 1
 	}
-	if int64(len(body)) > s.maxBody() {
+	body := make([]byte, 0, min(size, limit+1))
+	for int64(len(body)) <= limit {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(2*int64(len(body)), limit+1))
+			copy(grown, body)
+			body = grown
+		}
+		n, err := r.Body.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "reading body: %v", err)
+		}
+	}
+	if int64(len(body)) > limit {
 		return nil, errf(http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", s.maxBody())
+			"request body exceeds %d bytes", limit)
 	}
 	return body, nil
 }
@@ -522,11 +542,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// streamedError is a run error a streaming handler already reported
+// in-band, after its response started: endpoint counts it but writes
+// neither a status nor a body.
+type streamedError struct{ error }
+
 // endpoint wraps a handler with request counting and error rendering.
 func (s *Server) endpoint(name string, w http.ResponseWriter, r *http.Request, fn func() error) {
 	err := fn()
 	s.Metrics.Request(name, err != nil)
-	if err != nil {
+	if _, streamed := err.(streamedError); err != nil && !streamed {
 		status := http.StatusInternalServerError
 		if he, ok := err.(*httpError); ok {
 			status = he.status
@@ -614,21 +639,8 @@ func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Extraction.
 
-// extractResult is the JSON envelope of one extracted page.
-type extractResult struct {
-	URI        string   `json:"uri"`
-	Repo       string   `json:"repo"`
-	Generation int      `json:"generation"`
-	Record     any      `json:"record"`
-	Failures   []string `json:"failures,omitempty"`
-}
-
 // lookupRepo resolves an explicitly named repository (?repo=).
-func (s *Server) lookupRepo(r *http.Request) (*RepoEntry, error) {
-	name := r.URL.Query().Get("repo")
-	if name == "" {
-		return nil, errf(http.StatusBadRequest, "repo parameter required")
-	}
+func (s *Server) lookupRepo(name string) (*RepoEntry, error) {
 	e, ok := s.Registry.Get(name)
 	if !ok {
 		return nil, errf(http.StatusNotFound, "repository %q not loaded", name)
@@ -690,11 +702,11 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 
 // resolveRepo picks the repository for a request: the explicit ?repo=
 // name when present, else the router's pick for the page.
-func (s *Server) resolveRepo(r *http.Request, page *core.Page) (*RepoEntry, error) {
-	if r.URL.Query().Get("repo") != "" {
-		return s.lookupRepo(r)
+func (s *Server) resolveRepo(ctx context.Context, name string, page *core.Page) (*RepoEntry, error) {
+	if name != "" {
+		return s.lookupRepo(name)
 	}
-	e, _, err := s.routePage(r.Context(), page)
+	e, _, err := s.routePage(ctx, page)
 	return e, err
 }
 
@@ -707,9 +719,10 @@ const routerLearnCap = 200
 // the repository's routing signature (when RouterLearn is on) — only on
 // the single-page endpoints, and only until the signature has absorbed
 // routerLearnCap pages. Pages with detected failures are withheld —
-// drifted evidence would teach the router the wrong shape.
-func (s *Server) learnRoute(r *http.Request, name string, page *core.Page, fails []extract.Failure) {
-	if !s.RouterLearn || len(fails) > 0 || r.URL.Query().Get("repo") == "" {
+// drifted evidence would teach the router the wrong shape. explicit says
+// the request named the repository (?repo=) rather than being routed.
+func (s *Server) learnRoute(explicit bool, name string, page *core.Page, fails []extract.Failure) {
+	if !s.RouterLearn || len(fails) > 0 || !explicit {
 		return
 	}
 	if s.Router.SignaturePages(name) >= routerLearnCap {
@@ -843,30 +856,6 @@ func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() stri
 	return page
 }
 
-func failureStrings(fails []extract.Failure) []string {
-	out := make([]string, 0, len(fails))
-	for _, f := range fails {
-		out = append(out, f.String())
-	}
-	return out
-}
-
-// writeResult renders one extraction as JSON (default) or the paper's XML.
-func writeResult(w http.ResponseWriter, r *http.Request, e *RepoEntry, page *core.Page, el *extract.Element, fails []extract.Failure) error {
-	if r.URL.Query().Get("format") == "xml" {
-		w.Header().Set("Content-Type", "application/xml")
-		return el.WriteXML(w)
-	}
-	writeJSON(w, http.StatusOK, extractResult{
-		URI:        page.URI,
-		Repo:       e.Name,
-		Generation: e.Generation,
-		Record:     el.JSONValue(),
-		Failures:   failureStrings(fails),
-	})
-	return nil
-}
-
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -880,8 +869,10 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if len(bytes.TrimSpace(body)) == 0 {
 			return errf(http.StatusBadRequest, "empty HTML body")
 		}
-		page := s.pageFor(r.URL.Query().Get("uri"), body)
-		e, err := s.resolveRepo(r, page)
+		q := r.URL.Query()
+		repo := q.Get("repo")
+		page := s.pageFor(q.Get("uri"), body)
+		e, err := s.resolveRepo(r.Context(), repo, page)
 		if err != nil {
 			return err
 		}
@@ -889,8 +880,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		s.learnRoute(r, e.Name, page, fails)
-		return writeResult(w, r, e, page, el, fails)
+		s.learnRoute(repo != "", e.Name, page, fails)
+		return writeResult(w, q.Get("format"), e, page.URI, el, fails)
 	})
 }
 
@@ -945,30 +936,6 @@ func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error)
 	}), nil
 }
 
-// batchResult renders one pipeline item in the /extract/batch wire
-// shape (kept from PR 1: per-line errors for undecodable lines, the
-// extractResult envelope with the serving generation otherwise).
-func (s *Server) batchResult(it *pipeline.Item) any {
-	var pe *pipeline.PageError
-	switch {
-	case errorsAs(it.Err, &pe) && pe.Line > 0:
-		return map[string]string{"error": pe.Error()}
-	case it.Err != nil:
-		return map[string]string{"uri": it.Page.URI, "error": it.Err.Error()}
-	}
-	gen := 0
-	if e, ok := s.Registry.Get(it.Repo); ok {
-		gen = e.Generation
-	}
-	return extractResult{
-		URI:        it.Page.URI,
-		Repo:       it.Repo,
-		Generation: gen,
-		Record:     it.Element.JSONValue(),
-		Failures:   failureStrings(it.Failures),
-	}
-}
-
 func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -994,9 +961,12 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
+		var line []byte
+		streamed := false
 		sink := pipeline.FuncSink(func(it *pipeline.Item) error {
-			if err := enc.Encode(s.batchResult(it)); err != nil {
+			line = append(s.appendBatchLine(line[:0], it), '\n')
+			streamed = true
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 			if flusher != nil {
@@ -1011,6 +981,12 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 			Telemetry:  s.Metrics.Pipeline,
 			OnPanic:    s.pipelinePanic,
 		}, src, sink)
+		if err != nil && streamed {
+			// The status went out with the first line: the run error
+			// travels as one more NDJSON line instead.
+			_, _ = w.Write(append(appendErrorObject(nil, err.Error()), '\n'))
+			return streamedError{err}
+		}
 		return err
 	})
 }
@@ -1026,14 +1002,16 @@ func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
 		}
 		// An explicit repo name is validated before the outbound fetch;
 		// with none given the page is fetched first, then routed.
+		q := r.URL.Query()
+		repo := q.Get("repo")
 		var e *RepoEntry
-		if r.URL.Query().Get("repo") != "" {
+		if repo != "" {
 			var err error
-			if e, err = s.lookupRepo(r); err != nil {
+			if e, err = s.lookupRepo(repo); err != nil {
 				return err
 			}
 		}
-		target := r.URL.Query().Get("url")
+		target := q.Get("url")
 		if target == "" {
 			return errf(http.StatusBadRequest, "url parameter required")
 		}
@@ -1053,8 +1031,8 @@ func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		s.learnRoute(r, e.Name, page, fails)
-		return writeResult(w, r, e, page, el, fails)
+		s.learnRoute(repo != "", e.Name, page, fails)
+		return writeResult(w, q.Get("format"), e, page.URI, el, fails)
 	})
 }
 

@@ -436,6 +436,38 @@ func TestBodyLimitRejectsNotTruncates(t *testing.T) {
 	}
 }
 
+// TestReadBodySizing: readBody returns the body whole up to the limit and
+// 413s past it, whether the length is declared or not, and never holds
+// more than limit+1 bytes; a declared length sizes the buffer exactly.
+func TestReadBodySizing(t *testing.T) {
+	srv := &Server{MaxBody: 1000}
+	for _, n := range []int{0, 1, 511, 512, 513, 999, 1000, 1001, 4000} {
+		for _, declared := range []bool{true, false} {
+			body := strings.Repeat("x", n)
+			r := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(body))
+			if !declared {
+				// A chunked upload: the length is unknown up front.
+				r.Body, r.ContentLength = io.NopCloser(strings.NewReader(body)), -1
+			}
+			got, err := srv.readBody(r)
+			if n > 1000 {
+				if he, ok := err.(*httpError); !ok || he.status != http.StatusRequestEntityTooLarge ||
+					he.msg != "request body exceeds 1000 bytes" {
+					t.Errorf("n=%d declared=%v: err %v, want the 413", n, declared, err)
+				}
+				continue
+			}
+			if err != nil || string(got) != body {
+				t.Errorf("n=%d declared=%v: got %d bytes, err %v", n, declared, len(got), err)
+				continue
+			}
+			if cap(got) > 1001 || declared && cap(got) != n+1 {
+				t.Errorf("n=%d declared=%v: buffer cap %d", n, declared, cap(got))
+			}
+		}
+	}
+}
+
 // TestFetchAllowlist: with AllowedHosts set, /extract/url refuses other
 // hosts before any outbound request happens.
 func TestFetchAllowlist(t *testing.T) {
