@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -36,13 +37,13 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, *start, *out, *max, *delay, *timeout, *ndjson); err != nil {
+	if err := run(ctx, os.Stdout, *start, *out, *max, *delay, *timeout, *ndjson); err != nil {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, start, out string, max int, delay, timeout time.Duration, ndjson bool) error {
+func run(ctx context.Context, w io.Writer, start, out string, max int, delay, timeout time.Duration, ndjson bool) error {
 	f := &webfetch.Fetcher{MaxPages: max, Delay: delay, Timeout: timeout}
 	src, err := f.Start(start)
 	if err != nil {
@@ -50,7 +51,7 @@ func run(ctx context.Context, start, out string, max int, delay, timeout time.Du
 	}
 	if ndjson {
 		_, err := pipeline.Run(ctx, pipeline.Config{Workers: 1}, src,
-			pipeline.NewPageNDJSONSink(os.Stdout))
+			pipeline.NewPageNDJSONSink(w))
 		return err
 	}
 	sink, err := pipeline.NewPagesDirSink(out, "crawled")
@@ -60,6 +61,6 @@ func run(ctx context.Context, start, out string, max int, delay, timeout time.Du
 	if _, err := pipeline.Run(ctx, pipeline.Config{Workers: 1}, src, sink); err != nil {
 		return err
 	}
-	fmt.Printf("crawled %d page(s) -> %s\n", sink.PageCount(), out)
+	fmt.Fprintf(w, "crawled %d page(s) -> %s\n", sink.PageCount(), out)
 	return nil
 }

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,40 +40,40 @@ func main() {
 	flag.Var(&rules, "rules", "repository to load ([name=]path.json|path.xml); repeatable")
 	threshold := flag.Float64("threshold", 0, "routing threshold (0 = default)")
 	flag.Parse()
-
-	if len(sites) > 0 || len(rules) > 0 {
-		if len(sites) == 0 || len(rules) == 0 {
-			fmt.Fprintln(os.Stderr, "evaluate: pipeline evaluation needs both -site and -rules")
-			os.Exit(2)
-		}
-		if err := runPipelineEval(sites, rules, *threshold); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), " "))
-		return
-	}
-	if *exp != "" {
-		r, ok := experiments.ByID(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n",
-				*exp, strings.Join(experiments.IDs(), " "))
-			os.Exit(2)
-		}
-		printReport(r)
-		return
-	}
-	for _, r := range experiments.All() {
-		printReport(r)
+	if err := run(os.Stdout, *exp, *list, sites, rules, *threshold); err != nil {
+		fmt.Fprintln(os.Stderr, "evaluate:", err)
+		os.Exit(1)
 	}
 }
 
-func printReport(r experiments.Report) {
-	fmt.Printf("=== %s — %s ===\n", r.ID, r.Title)
-	fmt.Println(r.Text)
-	fmt.Println()
+func run(w io.Writer, exp string, list bool, sites, rules []string, threshold float64) error {
+	if len(sites) > 0 || len(rules) > 0 {
+		if len(sites) == 0 || len(rules) == 0 {
+			return fmt.Errorf("pipeline evaluation needs both -site and -rules")
+		}
+		return runPipelineEval(w, sites, rules, threshold)
+	}
+	if list {
+		fmt.Fprintln(w, strings.Join(experiments.IDs(), " "))
+		return nil
+	}
+	if exp != "" {
+		r, ok := experiments.ByID(exp)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q; available: %s",
+				exp, strings.Join(experiments.IDs(), " "))
+		}
+		printReport(w, r)
+		return nil
+	}
+	for _, r := range experiments.All() {
+		printReport(w, r)
+	}
+	return nil
+}
+
+func printReport(w io.Writer, r experiments.Report) {
+	fmt.Fprintf(w, "=== %s — %s ===\n", r.ID, r.Title)
+	fmt.Fprintln(w, r.Text)
+	fmt.Fprintln(w)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -29,7 +30,7 @@ type siteScore struct {
 // runPipelineEval routes and extracts every given site directory through
 // the ingestion pipeline and reports routing accuracy against the
 // manifests' cluster names.
-func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
+func runPipelineEval(w io.Writer, sites, ruleSpecs []string, threshold float64) error {
 	router := cluster.NewRouter(threshold)
 	repos := map[string]*rule.Repository{}
 	for _, spec := range ruleSpecs {
@@ -37,13 +38,7 @@ func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
 		if i := strings.IndexByte(spec, '='); i >= 0 {
 			name, path = spec[:i], spec[i+1:]
 		}
-		var repo *rule.Repository
-		var err error
-		if strings.HasSuffix(path, ".xml") {
-			repo, err = rule.LoadXML(path)
-		} else {
-			repo, err = rule.Load(path)
-		}
+		repo, err := rule.LoadFile(path)
 		if err != nil {
 			return err
 		}
@@ -52,7 +47,7 @@ func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
 		}
 		repos[name] = repo
 		if repo.Signature == nil {
-			fmt.Printf("note: repository %q has no signature (rebuild with retrozilla); it cannot win routes\n", name)
+			fmt.Fprintf(w, "note: repository %q has no signature (rebuild with retrozilla); it cannot win routes\n", name)
 			continue
 		}
 		router.Register(name, repo.Signature)
@@ -93,8 +88,8 @@ func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
 		scores = append(scores, score)
 	}
 
-	fmt.Println("=== PIPE — site-ingestion routing evaluation ===")
-	fmt.Printf("%-28s %-16s %6s %8s %9s %9s %9s\n",
+	fmt.Fprintln(w, "=== PIPE — site-ingestion routing evaluation ===")
+	fmt.Fprintf(w, "%-28s %-16s %6s %8s %9s %9s %9s\n",
 		"site", "truth", "pages", "correct", "unrouted", "confused", "failures")
 	totalPages, totalCorrect := 0, 0
 	for _, s := range scores {
@@ -102,7 +97,7 @@ func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
 		for _, n := range s.confused {
 			confused += n
 		}
-		fmt.Printf("%-28s %-16s %6d %8d %9d %9d %9d\n",
+		fmt.Fprintf(w, "%-28s %-16s %6d %8d %9d %9d %9d\n",
 			s.dir, s.truth, s.pages, s.correct, s.unrouted, confused, s.failures)
 		if len(s.confused) > 0 {
 			keys := make([]string, 0, len(s.confused))
@@ -111,14 +106,14 @@ func runPipelineEval(sites, ruleSpecs []string, threshold float64) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Printf("    confused with %-12s %d\n", k, s.confused[k])
+				fmt.Fprintf(w, "    confused with %-12s %d\n", k, s.confused[k])
 			}
 		}
 		totalPages += s.pages
 		totalCorrect += s.correct
 	}
 	if totalPages > 0 {
-		fmt.Printf("routing accuracy: %.1f%% (%d/%d)\n",
+		fmt.Fprintf(w, "routing accuracy: %.1f%% (%d/%d)\n",
 			100*float64(totalCorrect)/float64(totalPages), totalCorrect, totalPages)
 	}
 	return nil

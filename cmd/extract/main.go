@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/extract"
 	"repro/internal/pipeline"
@@ -45,13 +44,7 @@ func main() {
 }
 
 func run(rulesPath, site, out, xsd, format, split string) error {
-	var repo *rule.Repository
-	var err error
-	if strings.HasSuffix(rulesPath, ".xml") {
-		repo, err = rule.LoadXML(rulesPath)
-	} else {
-		repo, err = rule.Load(rulesPath)
-	}
+	repo, err := rule.LoadFile(rulesPath)
 	if err != nil {
 		return err
 	}

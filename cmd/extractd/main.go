@@ -34,7 +34,8 @@
 // a snapshot, so a crash or restart resumes exactly where it left off:
 // active versions serve, staged versions await promotion, queued jobs
 // re-queue and interrupted jobs restart. -fsync picks the flush policy
-// and -snapshot-every the compaction cadence (see README "Durability").
+// and a background compaction every 5 minutes keeps the WAL short (see
+// README "Durability").
 //
 // -page-cache sizes the content-addressed LRU of parsed documents
 // (repeated posts of identical HTML skip the parser; hit/miss counters in
@@ -50,15 +51,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, served only by the -pprof listener
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -74,196 +76,197 @@ import (
 	"repro/internal/webfetch"
 )
 
+// Fixed daemon settings: every deployment runs with these values, so
+// none of them is a flag.
+const (
+	// requestTimeout bounds every request; streaming /ingest is bounded
+	// per page instead.
+	requestTimeout = 30 * time.Second
+	// admissionWait is how long a request may wait for a pool slot
+	// before a 503 + Retry-After.
+	admissionWait = 2 * time.Second
+	// drainTimeout is the graceful-shutdown budget for in-flight
+	// requests on SIGINT/SIGTERM.
+	drainTimeout = 15 * time.Second
+	// snapshotEvery is the background WAL compaction cadence (boot and
+	// shutdown always compact).
+	snapshotEvery = 5 * time.Minute
+	// The drift alarm trips when driftRatio of the last driftWindow
+	// pages of a repository fail.
+	driftWindow = 50
+	driftRatio  = 0.3
+	// An unrouted bucket needs inductMinPages captured pages before it
+	// can become an induction job; inductWorkers jobs run at a time.
+	inductMinPages = 8
+	inductWorkers  = 1
+)
+
 type rulesFlags []string
 
 func (r *rulesFlags) String() string     { return strings.Join(*r, ",") }
 func (r *rulesFlags) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
-	var rules rulesFlags
-	addr := flag.String("addr", ":8090", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "extraction worker count")
-	queue := flag.Int("queue", 0, "task queue depth (default 4x workers)")
-	noFetch := flag.Bool("no-fetch", false, "disable /extract/url outbound fetching")
-	fetchHosts := flag.String("fetch-hosts", "",
-		"comma-separated host allowlist for /extract/url (empty allows any host)")
-	autoRepair := flag.Bool("auto-repair", false,
-		"repair and promote a repository automatically when its drift alarm trips")
-	driftWindow := flag.Int("drift-window", 0,
-		"drift-detection sliding window size in pages (default 50)")
-	driftRatio := flag.Float64("drift-ratio", 0,
-		"failing-page ratio that trips the drift alarm (default 0.3)")
-	pageCache := flag.Int("page-cache", service.DefaultPageCacheSize,
-		"parsed-page LRU cache size in documents (0 disables)")
-	pprofPort := flag.Int("pprof", 0,
-		"serve net/http/pprof on localhost:PORT for live profiling (0 disables)")
-	routerLearn := flag.Bool("router-learn", true,
-		"grow routing signatures from cleanly extracted explicit-repo traffic")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
-		"graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second,
-		"per-request deadline (streaming /ingest is bounded per page instead; 0 disables)")
-	admissionWait := flag.Duration("admission-wait", 2*time.Second,
-		"how long a request may wait for a pool slot before a 503 + Retry-After (negative waits forever)")
-	inductOn := flag.Bool("induct", false,
-		"buffer unrouted pages and run background wrapper-induction jobs over them")
-	inductMinPages := flag.Int("induct-min-pages", 0,
-		"pages an unrouted bucket needs before it can become an induction job (default 8)")
-	inductWorkers := flag.Int("induct-workers", 0,
-		"induction job worker count (default 1)")
-	inductTruth := flag.String("induct-truth", "",
-		"truth.json file feeding the induction oracle (besides POST /induce examples and lifecycle golden values)")
-	logFormat := flag.String("log-format", "text",
-		"structured log encoding: text or json")
-	logLevel := flag.String("log-level", "info",
-		"minimum log level: debug, info, warn or error")
-	dataDir := flag.String("data-dir", "",
-		"durability directory (WAL + snapshots); empty runs memory-only and loses all state on exit")
-	fsyncPolicy := flag.String("fsync", store.FsyncInterval,
-		"WAL fsync policy: always (group-commit per append), interval (background flush) or never")
-	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute,
-		"interval between background WAL compactions into a snapshot (0 disables; boot and shutdown always compact)")
-	monitorOn := flag.Bool("monitor", false,
-		"enable the drift-adaptive recrawl scheduler (/schedules, /changes); requires outbound fetching")
-	recrawlMin := flag.Duration("recrawl-min", time.Minute,
-		"recrawl interval floor: alarmed/drifting schedules snap back to this")
-	recrawlMax := flag.Duration("recrawl-max", 7*24*time.Hour,
-		"recrawl interval ceiling: stable schedules decay toward this")
-	recrawlBudget := flag.Int("recrawl-budget", 2,
-		"max concurrent scheduled recrawls")
-	flag.Var(&rules, "rules", "repository file to preload ([name=]path.json|path.xml); repeatable")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	opts, err := parseOptions(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "extractd:", err)
 		os.Exit(2)
 	}
-
-	if *pprofPort > 0 {
-		// Localhost-only on purpose: the profiler exposes heap contents and
-		// must never ride the public listen address.
-		pprofAddr := fmt.Sprintf("127.0.0.1:%d", *pprofPort)
-		go func() {
-			logger.Info("pprof.listening", "url", "http://"+pprofAddr+"/debug/pprof/")
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				logger.Error("pprof.failed", "error", err.Error())
-			}
-		}()
+	if opts.pprof > 0 {
+		servePprof(opts.pprof, opts.log)
 	}
-
-	lc := lifecycle.Config{WindowSize: *driftWindow, TripRatio: *driftRatio, Logger: logger}
-
 	// SIGINT/SIGTERM start a graceful shutdown: stop accepting, let
-	// in-flight requests finish (bounded by -drain-timeout), drain the
+	// in-flight requests finish (bounded by drainTimeout), drain the
 	// worker pool, then exit. A second signal kills the process the
 	// usual way (the NotifyContext restores default handling once fired).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts := options{
-		addr: *addr, workers: *workers, queue: *queue,
-		noFetch: *noFetch, autoRepair: *autoRepair, routerLearn: *routerLearn,
-		fetchHosts: *fetchHosts, pageCache: *pageCache, drainTimeout: *drainTimeout,
-		requestTimeout: *requestTimeout, admissionWait: *admissionWait,
-		lifecycle: lc, rules: rules,
-		induct: *inductOn, inductMinPages: *inductMinPages,
-		inductWorkers: *inductWorkers, inductTruth: *inductTruth,
-		dataDir: *dataDir, fsync: *fsyncPolicy, snapshotEvery: *snapshotEvery,
-		monitor: *monitorOn, recrawlMin: *recrawlMin, recrawlMax: *recrawlMax,
-		recrawlBudget: *recrawlBudget,
-		log:           logger,
-	}
 	if err := run(ctx, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "extractd:", err)
 		os.Exit(1)
 	}
 }
 
-// options carries the parsed daemon configuration into run.
+// options carries the parsed daemon configuration into newServer and run.
 type options struct {
-	addr           string
-	workers, queue int
-	noFetch        bool
-	autoRepair     bool
-	routerLearn    bool
-	fetchHosts     string
-	pageCache      int
-	drainTimeout   time.Duration
-	requestTimeout time.Duration
-	admissionWait  time.Duration
-	lifecycle      lifecycle.Config
-	rules          []string
-	induct         bool
-	inductMinPages int
-	inductWorkers  int
-	inductTruth    string
-	dataDir        string
-	fsync          string
-	snapshotEvery  time.Duration
-	monitor        bool
-	recrawlMin     time.Duration
-	recrawlMax     time.Duration
-	recrawlBudget  int
-	log            *slog.Logger
+	addr          string
+	workers       int
+	rules         []string
+	dataDir       string
+	fsync         string
+	pprof         int
+	noFetch       bool
+	fetchHosts    []string
+	autoRepair    bool
+	pageCache     int
+	induct        bool
+	inductTruth   string
+	monitor       bool
+	recrawlMin    time.Duration
+	recrawlMax    time.Duration
+	recrawlBudget int
+	log           *slog.Logger
 }
 
-func run(ctx context.Context, opts options) error {
-	workers, queue := opts.workers, opts.queue
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// parseOptions parses the command line into options, rejecting flag
+// combinations the daemon cannot honour. The logger it builds writes to
+// stderr.
+func parseOptions(args []string, stderr io.Writer) (options, error) {
+	var opts options
+	var rules rulesFlags
+	fs := flag.NewFlagSet("extractd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
+	fs.IntVar(&opts.workers, "workers", 0, "extraction worker count (default GOMAXPROCS; the queue holds 4x workers)")
+	fs.BoolVar(&opts.noFetch, "no-fetch", false, "disable /extract/url outbound fetching")
+	fetchHosts := fs.String("fetch-hosts", "",
+		"comma-separated host allowlist for /extract/url (empty allows any host)")
+	fs.BoolVar(&opts.autoRepair, "auto-repair", false,
+		"repair and promote a repository automatically when its drift alarm trips")
+	fs.IntVar(&opts.pageCache, "page-cache", service.DefaultPageCacheSize,
+		"parsed-page LRU cache size in documents (0 disables)")
+	fs.IntVar(&opts.pprof, "pprof", 0,
+		"serve net/http/pprof on localhost:PORT for live profiling (0 disables)")
+	fs.BoolVar(&opts.induct, "induct", false,
+		"buffer unrouted pages and run background wrapper-induction jobs over them")
+	fs.StringVar(&opts.inductTruth, "induct-truth", "",
+		"truth.json file feeding the induction oracle (besides POST /induce examples and lifecycle golden values)")
+	logFormat := fs.String("log-format", "text",
+		"structured log encoding: text or json")
+	logLevel := fs.String("log-level", "info",
+		"minimum log level: debug, info, warn or error")
+	fs.StringVar(&opts.dataDir, "data-dir", "",
+		"durability directory (WAL + snapshots); empty runs memory-only and loses all state on exit")
+	fs.StringVar(&opts.fsync, "fsync", store.FsyncInterval,
+		"WAL fsync policy: always (group-commit per append), interval (background flush) or never")
+	fs.BoolVar(&opts.monitor, "monitor", false,
+		"enable the drift-adaptive recrawl scheduler (/schedules, /changes); requires outbound fetching")
+	fs.DurationVar(&opts.recrawlMin, "recrawl-min", time.Minute,
+		"recrawl interval floor: alarmed/drifting schedules snap back to this")
+	fs.DurationVar(&opts.recrawlMax, "recrawl-max", 7*24*time.Hour,
+		"recrawl interval ceiling: stable schedules decay toward this")
+	fs.IntVar(&opts.recrawlBudget, "recrawl-budget", 2,
+		"max concurrent scheduled recrawls")
+	fs.Var(&rules, "rules", "repository file to preload ([name=]path.json|path.xml); repeatable")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
 	}
-	if queue <= 0 {
-		queue = 4 * workers
+	opts.rules = rules
+	for _, h := range strings.Split(*fetchHosts, ",") {
+		if h = strings.TrimSpace(h); h != "" {
+			opts.fetchHosts = append(opts.fetchHosts, h)
+		}
 	}
+	if opts.inductTruth != "" && !opts.induct {
+		return options{}, fmt.Errorf("-induct-truth requires -induct")
+	}
+	if opts.monitor && opts.noFetch {
+		return options{}, fmt.Errorf("-monitor requires outbound fetching (drop -no-fetch)")
+	}
+	var err error
+	if opts.log, err = obs.NewLogger(stderr, *logFormat, *logLevel); err != nil {
+		return options{}, err
+	}
+	return opts, nil
+}
+
+// servePprof serves net/http/pprof on localhost:port in the background.
+// Localhost-only on purpose: the profiler exposes heap contents and
+// must never ride the public listen address.
+func servePprof(port int, log *slog.Logger) {
+	addr := fmt.Sprintf("127.0.0.1:%d", port)
+	go func() {
+		log.Info("pprof.listening", "url", "http://"+addr+"/debug/pprof/")
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			log.Error("pprof.failed", "error", err.Error())
+		}
+	}()
+}
+
+// newServer builds the configured server: the pool, fetcher and
+// feature engines, then durable state restored from opts.dataDir, then
+// the -rules preload. The caller must release it with shutdown after
+// srv.Close.
+func newServer(opts options) (*service.Server, error) {
 	var fetcher *webfetch.Fetcher
 	if !opts.noFetch {
 		// Outbound resilience: transient failures retry with backoff, and
 		// per-host circuit breakers stop hammering dead origins.
 		fetcher = &webfetch.Fetcher{Retry: &resilient.Retrier{}}
 	}
-	srv := service.NewServer(workers, queue, fetcher)
+	// Queue 0: NewServer sizes the pool queue at 4x workers.
+	srv := service.NewServer(opts.workers, 0, fetcher)
 	srv.Log = opts.log
-	srv.RequestTimeout = opts.requestTimeout
-	srv.AdmissionWait = opts.admissionWait
+	srv.RequestTimeout = requestTimeout
+	srv.AdmissionWait = admissionWait
 	srv.AutoRepair = opts.autoRepair
-	srv.RouterLearn = opts.routerLearn
-	srv.Lifecycle = opts.lifecycle
+	// Cleanly extracted explicit-repo traffic grows routing signatures.
+	srv.RouterLearn = true
+	srv.Lifecycle = lifecycle.Config{WindowSize: driftWindow, TripRatio: driftRatio, Logger: opts.log}
 	srv.PageCache = service.NewPageCache(opts.pageCache)
-	if opts.fetchHosts != "" {
-		for _, h := range strings.Split(opts.fetchHosts, ",") {
-			if h = strings.TrimSpace(h); h != "" {
-				srv.AllowedHosts = append(srv.AllowedHosts, h)
-			}
-		}
-	}
+	srv.AllowedHosts = opts.fetchHosts
 	if opts.induct {
-		eng := srv.EnableInduction(induct.Config{
-			MinPages: opts.inductMinPages,
-			Workers:  opts.inductWorkers,
-		})
-		defer eng.Close()
+		eng := srv.EnableInduction(induct.Config{MinPages: inductMinPages, Workers: inductWorkers})
 		if opts.inductTruth != "" {
 			truth, err := induct.LoadTruth(opts.inductTruth)
 			if err != nil {
-				return err
+				abandon(srv, opts.log)
+				return nil, err
 			}
 			eng.AddTruth(truth)
 			opts.log.Info("induct.truth.loaded",
 				"pages", truth.Len(), "file", opts.inductTruth)
 		}
-	} else if opts.inductTruth != "" {
-		return fmt.Errorf("-induct-truth requires -induct")
 	}
 
 	// The scheduler must exist before AttachStore so restored schedule
 	// state and change-feed events have somewhere to land; its cadence
-	// loop starts only after restore + preload, just before serving.
-	var sched *monitor.Scheduler
+	// loop starts in run, after restore + preload.
 	if opts.monitor {
-		if opts.noFetch {
-			return fmt.Errorf("-monitor requires outbound fetching (drop -no-fetch)")
-		}
-		sched = srv.EnableMonitor(monitor.Config{
+		srv.EnableMonitor(monitor.Config{
 			MinInterval: opts.recrawlMin,
 			MaxInterval: opts.recrawlMax,
 			Budget:      opts.recrawlBudget,
@@ -273,46 +276,37 @@ func run(ctx context.Context, opts options) error {
 	// Durability: open the data directory (replaying any previous run's
 	// snapshot + WAL tail) before the -rules preload, so restored state
 	// is visible when deciding whether a preload would duplicate it.
-	var st *store.Store
 	if opts.dataDir != "" {
-		var err error
-		st, err = store.Open(store.Options{
+		st, err := store.Open(store.Options{
 			Dir: opts.dataDir, Fsync: opts.fsync, Logger: opts.log,
 		})
 		if err != nil {
-			return err
+			abandon(srv, opts.log)
+			return nil, err
 		}
 		if err := srv.AttachStore(st); err != nil {
 			st.Close()
-			return err
-		}
-		// Final compaction on the way out: the next boot restores from
-		// one snapshot instead of replaying the whole session's WAL.
-		defer func() {
-			if err := srv.SaveSnapshot(); err != nil {
-				opts.log.Warn("store.final-snapshot-failed", "error", err.Error())
-			}
-			if err := st.Close(); err != nil {
-				opts.log.Warn("store.close-failed", "error", err.Error())
-			}
-		}()
-		if opts.snapshotEvery > 0 {
-			go snapshotLoop(ctx, srv, opts.snapshotEvery, opts.log)
+			srv.Store = nil
+			abandon(srv, opts.log)
+			return nil, err
 		}
 	}
 
-	for _, spec := range opts.rules {
+	if err := preload(srv, opts.rules, opts.log); err != nil {
+		abandon(srv, opts.log)
+		return nil, err
+	}
+	return srv, nil
+}
+
+// preload loads each -rules spec ("[name=]path") into the registry.
+func preload(srv *service.Server, specs []string, log *slog.Logger) error {
+	for _, spec := range specs {
 		name, path := "", spec
 		if i := strings.IndexByte(spec, '='); i >= 0 {
 			name, path = spec[:i], spec[i+1:]
 		}
-		var repo *rule.Repository
-		var err error
-		if strings.HasSuffix(path, ".xml") {
-			repo, err = rule.LoadXML(path)
-		} else {
-			repo, err = rule.Load(path)
-		}
+		repo, err := rule.LoadFile(path)
 		if err != nil {
 			return err
 		}
@@ -320,13 +314,13 @@ func run(ctx context.Context, opts options) error {
 		// repository; re-loading the unchanged file would mint a
 		// duplicate version every boot. Changed files load normally
 		// (new version, immediately active — the usual hot reload).
-		if st != nil {
+		if srv.Store != nil {
 			resolved := name
 			if resolved == "" {
 				resolved = repo.Cluster
 			}
 			if e, ok := srv.Registry.Get(resolved); ok && sameRepoJSON(e.Repo, repo) {
-				opts.log.Info("registry.preload.unchanged",
+				log.Info("registry.preload.unchanged",
 					"repo", resolved, "version", e.Version, "file", path)
 				continue
 			}
@@ -336,8 +330,43 @@ func run(ctx context.Context, opts options) error {
 			return err
 		}
 	}
+	return nil
+}
 
-	if sched != nil {
+// shutdown releases what newServer opened once serve has drained the
+// pool: a final compaction (the next boot restores from one snapshot
+// instead of replaying the whole session's WAL), the store, then the
+// induction engine.
+func shutdown(srv *service.Server, log *slog.Logger) {
+	if srv.Store != nil {
+		if err := srv.SaveSnapshot(); err != nil {
+			log.Warn("store.final-snapshot-failed", "error", err.Error())
+		}
+		if err := srv.Store.Close(); err != nil {
+			log.Warn("store.close-failed", "error", err.Error())
+		}
+	}
+	if srv.Induct != nil {
+		srv.Induct.Close()
+	}
+}
+
+// abandon releases a server that never served.
+func abandon(srv *service.Server, log *slog.Logger) {
+	srv.Close()
+	shutdown(srv, log)
+}
+
+func run(ctx context.Context, opts options) error {
+	srv, err := newServer(opts)
+	if err != nil {
+		return err
+	}
+	defer shutdown(srv, opts.log)
+	if srv.Store != nil {
+		go snapshotLoop(ctx, srv, snapshotEvery, opts.log)
+	}
+	if sched := srv.Scheduler; sched != nil {
 		go func() {
 			if err := sched.Run(ctx); err != nil && ctx.Err() == nil {
 				opts.log.Warn("monitor.run.stopped", "error", err.Error())
@@ -351,10 +380,10 @@ func run(ctx context.Context, opts options) error {
 		return err
 	}
 	opts.log.Info("extractd.listening",
-		"addr", ln.Addr().String(), "workers", workers, "queue", queue,
+		"addr", ln.Addr().String(), "workers", srv.Pool.Workers(), "queue", srv.Pool.QueueCapacity(),
 		"repos", srv.Registry.Len(), "routable", srv.Router.Len(),
-		"induction", opts.induct, "monitor", opts.monitor, "durable", st != nil)
-	return serve(ctx, ln, srv, opts.drainTimeout, opts.log)
+		"induction", opts.induct, "monitor", opts.monitor, "durable", srv.Store != nil)
+	return serve(ctx, ln, srv, drainTimeout, opts.log)
 }
 
 // sameRepoJSON reports whether two repositories marshal identically —

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -27,25 +28,35 @@ func main() {
 		"simulate page evolution before serving: component[:remove|duplicate|relabel] (movies cluster)")
 	flag.Parse()
 
-	h, clusters, err := webfetch.DefaultSite(*seed, *pages)
-	if err == nil && *drift != "" {
-		err = applyDrift(h, clusters[0], *drift, *seed)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "servesite:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("serving %d pages on %s (index at /)\n", h.PageCount(), *addr)
-	if err := http.ListenAndServe(*addr, h); err != nil {
+	if err := run(os.Stdout, *addr, *pages, *seed, *drift); err != nil {
 		fmt.Fprintln(os.Stderr, "servesite:", err)
 		os.Exit(1)
 	}
 }
 
+func run(w io.Writer, addr string, pages int, seed int64, drift string) error {
+	h, err := newSite(w, pages, seed, drift)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "serving %d pages on %s (index at /)\n", h.PageCount(), addr)
+	return http.ListenAndServe(addr, h)
+}
+
+// newSite builds the served corpus, with the -drift spec applied to its
+// movies cluster.
+func newSite(w io.Writer, pages int, seed int64, drift string) (*webfetch.SiteHandler, error) {
+	h, clusters, err := webfetch.DefaultSite(seed, pages)
+	if err == nil && drift != "" {
+		err = applyDrift(w, h, clusters[0], drift, seed)
+	}
+	return h, err
+}
+
 // applyDrift mutates the served pages before startup — the local way to
 // exercise extractd's drift detection and repair against a "evolved"
 // site without editing any HTML by hand.
-func applyDrift(h *webfetch.SiteHandler, cl *corpus.Cluster, spec string, seed int64) error {
+func applyDrift(w io.Writer, h *webfetch.SiteHandler, cl *corpus.Cluster, spec string, seed int64) error {
 	component, kindName := spec, "relabel"
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
 		component, kindName = spec[:i], spec[i+1:]
@@ -68,6 +79,6 @@ func applyDrift(h *webfetch.SiteHandler, cl *corpus.Cluster, spec string, seed i
 	if err := h.SetPages(pages); err != nil {
 		return err
 	}
-	fmt.Printf("injected %s drift on %q into %d pages\n", kindName, component, len(drifts))
+	fmt.Fprintf(w, "injected %s drift on %q into %d pages\n", kindName, component, len(drifts))
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -26,34 +27,38 @@ func main() {
 	pages := flag.Int("pages", 30, "pages per cluster")
 	seed := flag.Int64("seed", 42, "generator seed")
 	flag.Parse()
+	if err := run(os.Stdout, *out, *clusterName, *pages, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "sitegen:", err)
+		os.Exit(1)
+	}
+}
 
+func run(w io.Writer, out, clusterName string, pages int, seed int64) error {
 	var clusters []*corpus.Cluster
-	switch *clusterName {
+	switch clusterName {
 	case "movies":
-		clusters = append(clusters, corpus.GenerateMovies(corpus.DefaultMovieProfile(*seed, *pages)))
+		clusters = append(clusters, corpus.GenerateMovies(corpus.DefaultMovieProfile(seed, pages)))
 	case "books":
-		clusters = append(clusters, corpus.GenerateBooks(corpus.DefaultBookProfile(*seed, *pages)))
+		clusters = append(clusters, corpus.GenerateBooks(corpus.DefaultBookProfile(seed, pages)))
 	case "stocks":
-		clusters = append(clusters, corpus.GenerateStocks(corpus.DefaultStockProfile(*seed, *pages)))
+		clusters = append(clusters, corpus.GenerateStocks(corpus.DefaultStockProfile(seed, pages)))
 	case "forum":
-		clusters = append(clusters, corpus.GenerateForum(corpus.DefaultForumProfile(*seed, *pages)))
+		clusters = append(clusters, corpus.GenerateForum(corpus.DefaultForumProfile(seed, pages)))
 	case "all":
 		clusters = append(clusters,
-			corpus.GenerateMovies(corpus.DefaultMovieProfile(*seed, *pages)),
-			corpus.GenerateBooks(corpus.DefaultBookProfile(*seed+1, *pages)),
-			corpus.GenerateStocks(corpus.DefaultStockProfile(*seed+2, *pages)),
-			corpus.GenerateForum(corpus.DefaultForumProfile(*seed+3, *pages)))
+			corpus.GenerateMovies(corpus.DefaultMovieProfile(seed, pages)),
+			corpus.GenerateBooks(corpus.DefaultBookProfile(seed+1, pages)),
+			corpus.GenerateStocks(corpus.DefaultStockProfile(seed+2, pages)),
+			corpus.GenerateForum(corpus.DefaultForumProfile(seed+3, pages)))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *clusterName)
-		os.Exit(2)
+		return fmt.Errorf("unknown cluster %q", clusterName)
 	}
-
 	for _, cl := range clusters {
-		if err := writeCluster(*out, cl); err != nil {
-			fmt.Fprintln(os.Stderr, "sitegen:", err)
-			os.Exit(1)
+		if err := writeCluster(w, out, cl); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // manifest maps page URIs to their HTML files.
@@ -63,7 +68,7 @@ type manifest struct {
 	Pages      map[string]string `json:"pages"`
 }
 
-func writeCluster(root string, cl *corpus.Cluster) error {
+func writeCluster(w io.Writer, root string, cl *corpus.Cluster) error {
 	dir := filepath.Join(root, cl.Name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -95,7 +100,7 @@ func writeCluster(root string, cl *corpus.Cluster) error {
 	if err := writeJSON(filepath.Join(dir, "truth.json"), truth); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d pages, %d components\n", dir, len(cl.Pages), len(cl.Components))
+	fmt.Fprintf(w, "wrote %s: %d pages, %d components\n", dir, len(cl.Pages), len(cl.Components))
 	return nil
 }
 

@@ -4,16 +4,19 @@
 // Two book stores publish the same concept with different layouts. One
 // rule set is induced per source cluster (a set of mapping rules
 // addresses only one page cluster — Table 4, resilience row); the
-// extracted records are then merged into a single integrated document
-// keyed by ISBN, with per-source prices side by side — the
-// price-comparison scenario.
+// extracted records are then joined on the book title into a single
+// integrated document, with per-source prices side by side — the
+// price-comparison scenario. The stores assign their own ISBNs, so a
+// book both stores sell keeps store A's.
 //
 // Run with: go run ./examples/dataintegration
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"repro/internal/core"
@@ -23,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Source A: the standard books layout. Source B: same concept,
 	// different seed and different structural profile (more authors, no
 	// publishers), standing in for a second store.
@@ -34,8 +43,14 @@ func main() {
 	storeA := corpus.GenerateBooks(profA)
 	storeB := corpus.GenerateBooks(profB)
 
-	recordsA := extractStore("store-a", storeA)
-	recordsB := extractStore("store-b", storeB)
+	recordsA, err := extractStore(w, "store-a", storeA)
+	if err != nil {
+		return err
+	}
+	recordsB, err := extractStore(w, "store-b", storeB)
+	if err != nil {
+		return err
+	}
 
 	// Integration: join on the book title (the stores assign their own
 	// ISBNs, so the title is the shared key in this scenario).
@@ -79,7 +94,7 @@ func main() {
 			both++
 		}
 	}
-	fmt.Printf("integrated %d records (%d priced by both stores)\n\n", len(merged), both)
+	fmt.Fprintf(w, "integrated %d records (%d priced by both stores)\n\n", len(merged), both)
 	// Print the first few records.
 	head := extract.NewElement("book-catalog")
 	for i, c := range doc.Children {
@@ -88,7 +103,8 @@ func main() {
 		}
 		head.Children = append(head.Children, c)
 	}
-	fmt.Print(head.XMLString())
+	_, err = io.WriteString(w, head.XMLString())
+	return err
 }
 
 type record struct {
@@ -98,20 +114,20 @@ type record struct {
 
 // extractStore induces rules for one store cluster and extracts flat
 // records.
-func extractStore(label string, cl *corpus.Cluster) []record {
+func extractStore(w io.Writer, label string, cl *corpus.Cluster) ([]record, error) {
 	sample, _ := cl.RepresentativeSplit(8)
 	builder := &core.Builder{Sample: sample, Oracle: cl.Oracle()}
 	repo := rule.NewRepository(cl.Name)
 	if _, err := builder.BuildAll(repo, []string{"book-title", "price", "isbn"}); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	proc, err := extract.NewProcessor(repo)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	doc, failures := proc.ExtractCluster(cl.Pages)
 	if len(failures) > 0 {
-		fmt.Printf("%s: %d extraction failures\n", label, len(failures))
+		fmt.Fprintf(w, "%s: %d extraction failures\n", label, len(failures))
 	}
 	var out []record
 	for _, page := range doc.Children {
@@ -121,8 +137,8 @@ func extractStore(label string, cl *corpus.Cluster) []record {
 			price: childText(page, "price"),
 		})
 	}
-	fmt.Printf("%s: extracted %d records with %d rules\n", label, len(out), len(repo.Rules))
-	return out
+	fmt.Fprintf(w, "%s: extracted %d records with %d rules\n", label, len(out), len(repo.Rules))
+	return out, nil
 }
 
 func childText(page *extract.Element, name string) string {

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // XML persistence for rule repositories. The paper's repository is read
@@ -144,4 +145,13 @@ func LoadXML(path string) (*Repository, error) {
 		return nil, fmt.Errorf("rule: %s: %w", path, err)
 	}
 	return repo, nil
+}
+
+// LoadFile reads a repository file in either interchange form: a path
+// ending in ".xml" is read by LoadXML, any other by Load (JSON).
+func LoadFile(path string) (*Repository, error) {
+	if strings.HasSuffix(path, ".xml") {
+		return LoadXML(path)
+	}
+	return Load(path)
 }

@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -73,6 +74,43 @@ func TestXMLRepositoryFileRoundTrip(t *testing.T) {
 	r, ok := loaded.Lookup("runtime")
 	if !ok || r.Refine == nil || r.Refine.Pattern != `(\d+) min` {
 		t.Errorf("refinement lost: %+v", r)
+	}
+}
+
+// TestLoadFileBySuffix: LoadFile picks the decoder from the suffix, so a
+// ".xml" file must be the XML form and anything else JSON.
+func TestLoadFileBySuffix(t *testing.T) {
+	repo := xmlTestRepo(t)
+	dir := t.TempDir()
+	xmlPath := filepath.Join(dir, "rules.xml")
+	jsonPath := filepath.Join(dir, "rules.json")
+	if err := repo.SaveXML(xmlPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Save(jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{xmlPath, jsonPath} {
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !reflect.DeepEqual(loaded.Rules, repo.Rules) {
+			t.Errorf("%s: rules differ:\n%+v\nvs\n%+v", path, loaded.Rules, repo.Rules)
+		}
+	}
+	// The suffix alone decides: JSON content under a .xml name is an XML
+	// parse error, not a silent fallback.
+	misnamed := filepath.Join(dir, "json.xml")
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(misnamed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(misnamed); err == nil {
+		t.Error("LoadFile read JSON content from a .xml path")
 	}
 }
 

@@ -28,8 +28,13 @@
 //	doc, failures := proc.ExtractCluster(pages)
 //	fmt.Print(doc.XMLString())
 //
-// See examples/ for runnable programs and cmd/ for the CLI toolbox
-// (sitegen, retrozilla, extract, evaluate).
+// Runnable programs: examples/dataintegration joins two book stores'
+// records into one catalog, and examples/pricemonitor recrawls a quote
+// site and reports price moves. The cmd/ toolbox covers Figure 1 end to
+// end: sitegen and servesite (a synthetic site on disk or over HTTP),
+// crawl, clusterpages, retrozilla (rule building), extract, evaluate
+// (the paper's tables and figures) and the extractd daemon; benchguard
+// and metriclint are CI checks.
 package repro
 
 import (
