@@ -382,7 +382,7 @@ func BenchmarkExtractdThroughput(b *testing.B) {
 			var el *extract.Element
 			var fails []extract.Failure
 			t0 := time.Now()
-			err := pool.Do(context.Background(), func() {
+			err := pool.DoWait(context.Background(), -1, func() {
 				el, fails = entry.Proc.ExtractPage(page)
 			})
 			if err != nil {

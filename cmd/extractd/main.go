@@ -1,7 +1,7 @@
 // Command extractd is the online half of the paper's pipeline as a
 // long-running service: it holds a hot-loadable registry of rule
 // repositories (built offline with retrozilla) and serves concurrent
-// extraction traffic through a bounded worker pool.
+// extraction traffic under a bounded admission pool.
 //
 // Usage:
 //
@@ -119,8 +119,8 @@ func main() {
 		servePprof(opts.pprof, opts.log)
 	}
 	// SIGINT/SIGTERM start a graceful shutdown: stop accepting, let
-	// in-flight requests finish (bounded by drainTimeout), drain the
-	// worker pool, then exit. A second signal kills the process the
+	// in-flight requests finish (bounded by drainTimeout), wait out the
+	// admitted extractions, then exit. A second signal kills the process the
 	// usual way (the NotifyContext restores default handling once fired).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -440,7 +440,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 // serve runs the HTTP server until ctx is cancelled (signal) or the
 // listener fails, then shuts down gracefully: new connections are
 // refused, in-flight requests get drainTimeout to finish, and the
-// extraction worker pool drains before the function returns.
+// admitted extractions finish before the function returns.
 func serve(ctx context.Context, ln net.Listener, srv *service.Server, drainTimeout time.Duration, log *slog.Logger) error {
 	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)

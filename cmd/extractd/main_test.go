@@ -84,7 +84,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// The pool is drained and closed: no new work is accepted.
-	if err := srv.Pool.Do(context.Background(), func() {}); err == nil {
+	if err := srv.Pool.DoWait(context.Background(), -1, func() {}); err == nil {
 		t.Error("pool still accepting work after shutdown")
 	}
 	// The listener is released: a fresh server can bind the same address.

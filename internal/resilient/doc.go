@@ -22,6 +22,6 @@
 //     exactly reproducible with a FakeClock and a fixed Rand.
 //
 // The webfetch.Fetcher is the package's primary consumer (retry +
-// breaker + per-host caps around every page fetch); service.Pool uses
-// PanicError to quarantine panicking extraction tasks.
+// breaker + per-host caps around every page fetch); service.Pool returns
+// a PanicError when an extraction task panics on the caller's goroutine.
 package resilient

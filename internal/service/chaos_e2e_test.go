@@ -33,10 +33,10 @@ func blockPool(t *testing.T, p *Pool) (release func()) {
 	t.Helper()
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go func() { _ = p.Do(context.Background(), func() { close(started); <-block }) }()
+	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-block }) }()
 	<-started
 	queued := make(chan struct{})
-	go func() { _ = p.Do(context.Background(), func() { close(queued) }) }()
+	go func() { _ = p.DoWait(context.Background(), -1, func() { close(queued) }) }()
 	for p.QueueDepth() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -54,7 +55,7 @@ func appendErrorObject(dst []byte, msg string) []byte {
 func (s *Server) appendBatchLine(dst []byte, it *pipeline.Item) []byte {
 	var pe *pipeline.PageError
 	switch {
-	case errorsAs(it.Err, &pe) && pe.Line > 0:
+	case errors.As(it.Err, &pe) && pe.Line > 0:
 		return appendErrorObject(dst, pe.Error())
 	case it.Err != nil:
 		// encoding/json sorts map keys: "error" before "uri".

@@ -34,8 +34,9 @@ import (
 	"repro/internal/webfetch"
 )
 
-// Server is the extractd HTTP service: a repository registry, a bounded
-// extraction worker pool, metrics, and the handlers tying them together.
+// Server is the extractd HTTP service: a repository registry, a pool
+// that bounds extraction concurrency, metrics, and the handlers tying
+// them together.
 //
 // Endpoints:
 //
@@ -182,9 +183,9 @@ func (s *Server) wireResilience() {
 	}
 }
 
-// pipelinePanic is the pipeline.Config.OnPanic hook shared by the batch
-// and ingest pipelines: the quarantined panic becomes a counter and an
-// error log, attributed to the stage ("classify" or "extract") it hit.
+// pipelinePanic is the pipeline.Config.OnPanic hook of runPipeline: the
+// quarantined panic becomes a counter and an error log, attributed to
+// the stage ("classify" or "extract") it hit.
 func (s *Server) pipelinePanic(stage string, pe *resilient.PanicError) {
 	s.Metrics.PanicRecovered(stage)
 	s.logger().LogAttrs(context.Background(), slog.LevelError, "pipeline.panic",
@@ -247,7 +248,8 @@ func (s *Server) RemoveRepo(name string) bool {
 // installs; override by replacing Server.PageCache (nil disables).
 const DefaultPageCacheSize = 256
 
-// Close releases the worker pool.
+// Close stops the pool admitting extractions and waits for the
+// admitted ones to finish.
 func (s *Server) Close() { s.Pool.Close() }
 
 func (s *Server) maxBody() int64 {
@@ -374,9 +376,9 @@ func routeOf(path string) string {
 //     carried on the request context — pipeline stages, NDJSON result
 //     lines, induction captures and every log line under this request
 //     share it;
-//   - the goroutine runs under a pprof "route" label (propagated onto
-//     pool workers by Pool.Do), so CPU profiles attribute samples to
-//     routes;
+//   - the goroutine runs under a pprof "route" label, so CPU profiles
+//     attribute samples to routes (extraction runs on this goroutine or
+//     on a pipeline worker it started, which inherits the label);
 //   - one structured request log line is emitted per exchange with
 //     method, route, status, body bytes and duration.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -731,7 +733,7 @@ func (s *Server) learnRoute(explicit bool, name string, page *core.Page, fails [
 	s.Router.Observe(name, streamx.FingerprintPage(page))
 }
 
-// extractEntry runs one page extraction on the worker pool, recording
+// extractEntry runs one page extraction under pool admission, recording
 // latency and failure metrics, per-version stats and the drift monitor
 // observation — and, when AutoRepair is on and this page tripped the
 // repository's drift alarm, kicking the background repair.
@@ -759,7 +761,7 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 		}
 		var pe *resilient.PanicError
 		if errors.As(err, &pe) {
-			// The rule panicked inside the pool; the worker recovered and
+			// The rule panicked under the pool; DoWait recovered it and
 			// the pool stays healthy — only this page fails.
 			return nil, nil, nil, errf(http.StatusInternalServerError,
 				"extraction failed: %v", pe)
@@ -894,7 +896,7 @@ func (s *Server) pageParser() pipeline.PageParser {
 
 // extractor adapts the server to the pipeline's Extract stage: per-page
 // repository resolution (routed pages may target different repositories
-// within one run), worker-pool scheduling, metrics, drift observation.
+// within one run), pool admission, metrics, drift observation.
 type extractor struct{ s *Server }
 
 // Extract implements pipeline.Extractor. When the server has a request
@@ -912,6 +914,19 @@ func (x extractor) Extract(ctx context.Context, repo string, page *core.Page) (*
 		defer cancel()
 	}
 	return x.s.extractEntry(ctx, e, page)
+}
+
+// runPipeline streams src through classify and the server's extractor
+// into sink: the one place the daemon's pipelines (/extract/batch,
+// /ingest, recrawls) are wired to the pool, metrics and panic hook.
+func (s *Server) runPipeline(ctx context.Context, classify pipeline.Classifier, src pipeline.Source, sink pipeline.Sink) (pipeline.Stats, error) {
+	return pipeline.Run(ctx, pipeline.Config{
+		Workers:    s.Pool.Workers(),
+		Classifier: classify,
+		Extractor:  extractor{s},
+		Telemetry:  s.Metrics.Pipeline,
+		OnPanic:    s.pipelinePanic,
+	}, src, sink)
 }
 
 // requestClassifier returns the pipeline Classify stage for a request:
@@ -974,13 +989,7 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil
 		})
-		_, err = pipeline.Run(r.Context(), pipeline.Config{
-			Workers:    s.Pool.Workers(),
-			Classifier: classify,
-			Extractor:  extractor{s},
-			Telemetry:  s.Metrics.Pipeline,
-			OnPanic:    s.pipelinePanic,
-		}, src, sink)
+		_, err = s.runPipeline(r.Context(), classify, src, sink)
 		if err != nil && streamed {
 			// The status went out with the first line: the run error
 			// travels as one more NDJSON line instead.

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"log/slog"
 	"net/http"
 	"time"
@@ -10,9 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
-
-// errorsAs is a local alias so handlers read without an import dance.
-func errorsAs(err error, target any) bool { return err != nil && errors.As(err, target) }
 
 // ingestSummary is the trailing NDJSON line of an /ingest response: run
 // totals plus the run-level error, if any. Clients tell it apart from
@@ -97,13 +93,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (streamed bool, 
 	sink.Trace = trace
 
 	start := time.Now()
-	stats, runErr := pipeline.Run(r.Context(), pipeline.Config{
-		Workers:    s.Pool.Workers(),
-		Classifier: classify,
-		Extractor:  extractor{s},
-		Telemetry:  s.Metrics.Pipeline,
-		OnPanic:    s.pipelinePanic,
-	}, src, sink)
+	stats, runErr := s.runPipeline(r.Context(), classify, src, sink)
 
 	// The response status is long gone; a run-level failure travels
 	// on the summary line instead.

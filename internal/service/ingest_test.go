@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -93,7 +94,7 @@ func TestIngestStreamsWholeSiteE2E(t *testing.T) {
 			break
 		}
 		var pageErr *pipeline.PageError
-		if errorsAs(err, &pageErr) {
+		if errors.As(err, &pageErr) {
 			// The corpus site has a few dangling links; the crawler now
 			// reports them per page instead of silently skipping.
 			continue

@@ -108,8 +108,8 @@ func NewMetrics() *Metrics {
 // FetchRetry records one outbound fetch retry attempt.
 func (m *Metrics) FetchRetry() { m.fetchRetries.Add(1) }
 
-// Shed records one load-shed request: admission to the worker pool timed
-// out and the request was rejected with 503 + Retry-After.
+// Shed records one load-shed request: pool admission timed out and the
+// request was rejected with 503 + Retry-After.
 func (m *Metrics) Shed() { m.shed.Add(1) }
 
 // FetchOutcome records the terminal outcome of one outbound fetch for a
@@ -193,7 +193,7 @@ func (m *Metrics) Extraction(d time.Duration, failures []extract.Failure) {
 	m.mu.Unlock()
 }
 
-// PoolSnapshot is the worker pool's saturation picture: static sizing
+// PoolSnapshot is the extraction pool's saturation picture: static sizing
 // plus live queue depth and in-flight work.
 type PoolSnapshot struct {
 	Workers       int   `json:"workers"`
@@ -265,7 +265,7 @@ type Snapshot struct {
 	LatencySumSeconds float64               `json:"latencySumSeconds"`
 	LatencyCount      int64                 `json:"latencyCount"`
 	LatencyHistogram  []obs.HistogramBucket `json:"latencyHistogram"`
-	// Pool is the worker pool's live saturation state.
+	// Pool is the extraction pool's live saturation state.
 	Pool PoolSnapshot `json:"pool"`
 	// Repos carries per-repo, per-version extraction counters from the
 	// registry.
@@ -366,7 +366,7 @@ func (m *Metrics) Snapshot() Snapshot {
 
 // MetricsSnapshot assembles the full observability snapshot: the
 // Metrics counters plus the state owned by the server's other
-// subsystems — worker pool saturation, per-repo/per-version registry
+// subsystems — extraction pool saturation, per-repo/per-version registry
 // counters, and the induction engine's job and buffer state. Both
 // /metrics views (JSON and Prometheus text) render exactly this value.
 func (s *Server) MetricsSnapshot() Snapshot {

@@ -121,13 +121,7 @@ func (s *Server) recrawlExtract(ctx context.Context, repo, url string) (map[stri
 		mu.Unlock()
 		return nil
 	})
-	_, err = pipeline.Run(ctx, pipeline.Config{
-		Workers:    s.Pool.Workers(),
-		Classifier: classify,
-		Extractor:  extractor{s},
-		Telemetry:  s.Metrics.Pipeline,
-		OnPanic:    s.pipelinePanic,
-	}, crawl, sink)
+	_, err = s.runPipeline(ctx, classify, crawl, sink)
 	if err != nil {
 		return nil, fmt.Errorf("recrawl: %w", err)
 	}

@@ -3,224 +3,127 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/resilient"
 )
 
-// ErrSaturated reports that the pool's queue had no free slot within the
-// admission wait: the caller should shed the request (503 + Retry-After)
-// rather than pile up blocked goroutines.
-var ErrSaturated = errors.New("service: pool saturated")
+var (
+	// ErrSaturated reports that no admission slot freed within the wait:
+	// the caller should shed the request (503 + Retry-After).
+	ErrSaturated  = errors.New("service: pool saturated")
+	errPoolClosed = errors.New("service: pool closed")
+)
 
-// Pool is a bounded worker pool: a fixed number of goroutines drain a
-// task queue, putting a hard ceiling on extraction concurrency no matter
-// how many HTTP requests arrive at once. Extraction is CPU-bound (XPath
-// evaluation over a parsed DOM), so the right bound is near GOMAXPROCS;
-// the queue gives short bursts somewhere to wait instead of failing.
-//
-// Admission comes in three strengths: Do blocks until a slot frees (for
-// internal callers that own their backpressure), DoWait blocks up to a
-// bound then sheds with ErrSaturated (the HTTP admission path), and
-// TryDo never blocks. A task that panics is quarantined: the worker
-// survives, and the submitter gets the *resilient.PanicError.
+// Pool is an admission gate that caps extraction concurrency however
+// many requests or pipeline workers submit; the queue gives bursts
+// somewhere to wait instead of failing. admit (workers+queue slots)
+// decides whether a task gets in, run (workers slots) how many admitted
+// tasks execute at once. A task runs on the submitter's goroutine, so it
+// keeps the submitter's pprof labels and costs no hand-off; a panic in
+// it comes back to the submitter as a *resilient.PanicError.
 type Pool struct {
-	tasks   chan poolTask
-	workers int
+	admit, run chan struct{}
 
-	// OnPanic, when non-nil, observes every recovered task panic (set
-	// before the first submission).
+	// OnPanic, when non-nil, observes each recovered panic; set before use.
 	OnPanic func(pe *resilient.PanicError)
 
-	// inFlight counts tasks currently executing on a worker — together
-	// with QueueDepth this is the pool's saturation picture in /metrics.
-	inFlight atomic.Int64
-
+	// mu orders every DoWait's wg.Add before Close's wg.Wait, so Close
+	// waits out each submission that passed the closed check.
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// Workers reports the pool's worker count — the natural concurrency for
-// callers (like the ingestion pipeline) that feed the pool and should
-// not queue far past it.
-func (p *Pool) Workers() int { return p.workers }
+// NewPool returns a pool that runs at most `workers` tasks at once and
+// admits `queue` more to wait for a turn (0: submits wait for a worker).
+func NewPool(workers, queue int) *Pool {
+	workers, queue = max(workers, 1), max(queue, 0)
+	return &Pool{admit: make(chan struct{}, workers+queue), run: make(chan struct{}, workers)}
+}
 
-// QueueDepth reports the tasks waiting in the queue right now.
-func (p *Pool) QueueDepth() int { return len(p.tasks) }
+// Workers reports how many tasks may run at once: the natural
+// concurrency for callers, like the ingestion pipeline, that feed it.
+func (p *Pool) Workers() int { return cap(p.run) }
+
+// QueueDepth reports the tasks admitted but not yet running, clamped
+// because the two semaphores are not read atomically.
+func (p *Pool) QueueDepth() int {
+	return min(max(len(p.admit)-len(p.run), 0), p.QueueCapacity())
+}
 
 // QueueCapacity reports the queue's slot count.
-func (p *Pool) QueueCapacity() int { return cap(p.tasks) }
+func (p *Pool) QueueCapacity() int { return cap(p.admit) - cap(p.run) }
 
-// InFlight reports the tasks currently executing on workers.
-func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
+// InFlight reports the tasks currently executing.
+func (p *Pool) InFlight() int64 { return int64(len(p.run)) }
 
-type poolTask struct {
-	// ctx is the submitter's context; its pprof label set (stamped by the
-	// HTTP middleware with the route) is adopted by the worker for the
-	// task's duration, so CPU profiles attribute extraction samples to
-	// the route that caused them even though the work runs on a pool
-	// goroutine.
-	ctx  context.Context
-	fn   func()
-	done chan struct{}
-	// panicked carries a recovered task panic back to the submitter
-	// (shared box: the task struct itself travels by value through the
-	// channel); the close of done orders the write before the
-	// submitter's read.
-	panicked *panicBox
-}
-
-type panicBox struct{ pe *resilient.PanicError }
-
-// NewPool starts a pool of `workers` goroutines with a task queue of
-// `queue` slots (0 means unbuffered: a submit waits for a free worker).
-func NewPool(workers, queue int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	p := &Pool{tasks: make(chan poolTask, queue), workers: workers}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	clean := context.Background()
-	for t := range p.tasks {
-		p.inFlight.Add(1)
-		if t.ctx != nil {
-			// Adopt the submitter's profiler labels for the task, then
-			// drop them — a label-less background goroutine must not keep
-			// charging samples to the last request it served.
-			pprof.SetGoroutineLabels(t.ctx)
-			p.runTask(&t)
-			pprof.SetGoroutineLabels(clean)
-		} else {
-			p.runTask(&t)
-		}
-		p.inFlight.Add(-1)
-		close(t.done)
-	}
-}
-
-// runTask executes one task, converting a panic into a structured error
-// for the submitter instead of killing the worker (and with it, every
-// future task this goroutine would have served).
-func (p *Pool) runTask(t *poolTask) {
-	defer func() {
-		if v := recover(); v != nil {
-			pe := &resilient.PanicError{Val: v, Stack: debug.Stack()}
-			t.panicked.pe = pe
-			if p.OnPanic != nil {
-				p.OnPanic(pe)
-			}
-		}
-	}()
-	t.fn()
-}
-
-// Do runs fn on a pool worker and waits for it to finish. It returns
-// without running fn when ctx is done before a worker accepts the task,
-// or when the pool is closed. A panic in fn surfaces as a
-// *resilient.PanicError.
-func (p *Pool) Do(ctx context.Context, fn func()) error {
-	return p.submit(ctx, fn, -1)
-}
-
-// TryDo is Do without blocking on admission: when no queue slot is free
-// right now it returns ErrSaturated immediately.
-func (p *Pool) TryDo(ctx context.Context, fn func()) error {
-	return p.submit(ctx, fn, 0)
-}
-
-// DoWait is Do with bounded admission: it waits up to maxWait for a
-// queue slot, then sheds with ErrSaturated. This is the HTTP admission
-// path — a saturated pool turns into a fast 503 instead of a goroutine
-// pile-up.
-func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) error {
-	return p.submit(ctx, fn, maxWait)
-}
-
-// submit enqueues and waits for completion. maxWait < 0 blocks
-// indefinitely, 0 never blocks, > 0 bounds the admission wait.
-func (p *Pool) submit(ctx context.Context, fn func(), maxWait time.Duration) error {
-	t := poolTask{ctx: ctx, fn: fn, done: make(chan struct{}), panicked: &panicBox{}}
-	// The read-lock spans the enqueue so Close cannot close the task
-	// channel under a blocked send: Close's write-lock waits the senders
-	// out while live workers keep draining the queue.
+// DoWait runs fn on the calling goroutine once the pool admits it and a
+// worker slot is free. Admission waits up to maxWait for a slot, then
+// sheds with ErrSaturated: maxWait < 0 waits until ctx ends, 0 never
+// waits. ctx only bounds admission — an admitted task always runs. A
+// panic in fn surfaces as a *resilient.PanicError.
+func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) (err error) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		return fmt.Errorf("service: pool closed")
+		return errPoolClosed
 	}
+	p.wg.Add(1)
+	p.mu.RUnlock()
+	defer p.wg.Done()
 	// Fast path first: the happy case costs one channel op and no timer.
 	select {
-	case p.tasks <- t:
+	case p.admit <- struct{}{}:
 	default:
-		if maxWait == 0 {
-			p.mu.RUnlock()
-			return ErrSaturated
-		}
-		if err := p.enqueueSlow(ctx, t, maxWait); err != nil {
-			p.mu.RUnlock()
+		if err := p.wait(ctx, maxWait); err != nil {
 			return err
 		}
 	}
-	p.mu.RUnlock()
-	// Once enqueued the task always runs — workers drain the queue to
-	// empty before exiting — so this wait cannot leak.
-	<-t.done
-	// The explicit nil check matters: returning t.panicked.pe directly
-	// would wrap a typed nil in a non-nil error interface.
-	if pe := t.panicked.pe; pe != nil {
-		return pe
-	}
+	defer func() { <-p.admit }()
+	p.run <- struct{}{}
+	defer func() {
+		<-p.run
+		if v := recover(); v != nil {
+			pe := &resilient.PanicError{Val: v, Stack: debug.Stack()}
+			if p.OnPanic != nil {
+				p.OnPanic(pe)
+			}
+			err = pe
+		}
+	}()
+	fn()
 	return nil
 }
 
-// enqueueSlow blocks on the queue until admission, ctx death, or (when
-// maxWait > 0) the admission deadline. Caller holds p.mu.RLock.
-func (p *Pool) enqueueSlow(ctx context.Context, t poolTask, maxWait time.Duration) error {
-	if maxWait < 0 {
-		select {
-		case p.tasks <- t:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+// wait blocks for an admission slot until ctx ends or maxWait (> 0) passes.
+func (p *Pool) wait(ctx context.Context, maxWait time.Duration) error {
+	if maxWait == 0 {
+		return ErrSaturated
 	}
-	timer := time.NewTimer(maxWait)
-	defer timer.Stop()
+	var deadline <-chan time.Time
+	if maxWait > 0 {
+		timer := time.NewTimer(maxWait)
+		defer timer.Stop()
+		deadline = timer.C
+	}
 	select {
-	case p.tasks <- t:
+	case p.admit <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-timer.C:
+	case <-deadline:
 		return ErrSaturated
 	}
 }
 
-// Close stops accepting tasks, waits for queued work to finish and for
-// every worker to exit. Idempotent.
+// Close stops admitting tasks and waits for every admitted task to
+// finish. Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
+	p.closed = true
 	p.mu.Unlock()
 	p.wg.Wait()
 }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +24,7 @@ func TestPoolRunsTasks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.Do(context.Background(), func() { n.Add(1) }); err != nil {
+			if err := p.DoWait(context.Background(), -1, func() { n.Add(1) }); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -42,7 +45,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.Do(context.Background(), func() {
+			_ = p.DoWait(context.Background(), -1, func() {
 				c := cur.Add(1)
 				for {
 					pk := peak.Load()
@@ -67,14 +70,14 @@ func TestPoolContextCancel(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_ = p.Do(context.Background(), func() { close(started); <-block })
+		_ = p.DoWait(context.Background(), -1, func() { close(started); <-block })
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// The single worker is occupied and the queue is unbuffered, so this
 	// submit must fail with the context error instead of running.
-	if err := p.Do(ctx, func() { t.Error("cancelled task ran") }); err == nil {
+	if err := p.DoWait(ctx, -1, func() { t.Error("cancelled task ran") }); err == nil {
 		t.Fatal("expected context error")
 	}
 	close(block)
@@ -88,7 +91,7 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.Do(context.Background(), func() { n.Add(1) })
+			_ = p.DoWait(context.Background(), -1, func() { n.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -96,7 +99,7 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 	if n.Load() != 10 {
 		t.Fatalf("drained %d tasks, want 10", n.Load())
 	}
-	if err := p.Do(context.Background(), func() {}); err == nil {
+	if err := p.DoWait(context.Background(), -1, func() {}); err == nil {
 		t.Fatal("Do after Close should fail")
 	}
 	p.Close() // idempotent
@@ -109,11 +112,11 @@ func saturatePool(t *testing.T) (*Pool, func()) {
 	p := NewPool(1, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go func() { _ = p.Do(context.Background(), func() { close(started); <-block }) }()
+	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-block }) }()
 	<-started
 	// Fill the single queue slot.
 	queued := make(chan struct{})
-	go func() { _ = p.Do(context.Background(), func() { close(queued) }) }()
+	go func() { _ = p.DoWait(context.Background(), -1, func() { close(queued) }) }()
 	for p.QueueDepth() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -124,8 +127,8 @@ func saturatePool(t *testing.T) (*Pool, func()) {
 func TestPoolTryDoShedsWhenSaturated(t *testing.T) {
 	p, release := saturatePool(t)
 	defer release()
-	if err := p.TryDo(context.Background(), func() { t.Error("shed task ran") }); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("TryDo on saturated pool = %v, want ErrSaturated", err)
+	if err := p.DoWait(context.Background(), 0, func() { t.Error("shed task ran") }); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("DoWait(0) on saturated pool = %v, want ErrSaturated", err)
 	}
 }
 
@@ -158,7 +161,7 @@ func TestPoolRecoversTaskPanic(t *testing.T) {
 	var hooked atomic.Int64
 	p.OnPanic = func(pe *resilient.PanicError) { hooked.Add(1) }
 
-	err := p.Do(context.Background(), func() { panic("rule exploded") })
+	err := p.DoWait(context.Background(), -1, func() { panic("rule exploded") })
 	var pe *resilient.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("Do = %v, want *resilient.PanicError", err)
@@ -170,7 +173,155 @@ func TestPoolRecoversTaskPanic(t *testing.T) {
 		t.Fatalf("OnPanic fired %d times, want 1", hooked.Load())
 	}
 	// The worker survived: the next task runs normally.
-	if err := p.Do(context.Background(), func() {}); err != nil {
+	if err := p.DoWait(context.Background(), -1, func() {}); err != nil {
 		t.Fatalf("task after panic = %v, want success", err)
 	}
+}
+
+// TestPoolSlotAccountingUnderMixedLoad drives the pool from many
+// goroutines with a seeded mix of panicking tasks, cancelled contexts
+// and every admission mode. Concurrency stays within the worker and
+// admission bounds, exactly the admitted tasks run, and afterwards
+// every slot is free again.
+func TestPoolSlotAccountingUnderMixedLoad(t *testing.T) {
+	const workers, queue, callers, calls = 3, 2, 32, 40
+	p := NewPool(workers, queue)
+	defer p.Close()
+	// A leaked slot turns the unbounded waits into deadline errors
+	// instead of a hung test.
+	live, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+
+	raise := func(peak *atomic.Int64, v int64) {
+		for pk := peak.Load(); v > pk && !peak.CompareAndSwap(pk, v); pk = peak.Load() {
+		}
+	}
+	var running, peakRunning, peakAdmitted, ran, returned atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				ctx := live
+				if rng.Intn(4) == 0 {
+					ctx = cancelled
+				}
+				maxWait := []time.Duration{-1, 0, 200 * time.Microsecond}[rng.Intn(3)]
+				boom := rng.Intn(5) == 0
+				hold := time.Duration(rng.Intn(100)) * time.Microsecond
+				err := p.DoWait(ctx, maxWait, func() {
+					ran.Add(1)
+					raise(&peakRunning, running.Add(1))
+					raise(&peakAdmitted, p.InFlight()+int64(p.QueueDepth()))
+					time.Sleep(hold)
+					running.Add(-1)
+					if boom {
+						panic("seeded panic")
+					}
+				})
+				var pe *resilient.PanicError
+				switch {
+				case err == nil && !boom, errors.As(err, &pe) && boom:
+					returned.Add(1)
+				case errors.Is(err, ErrSaturated) && maxWait >= 0,
+					errors.Is(err, context.Canceled) && ctx == cancelled:
+				default:
+					t.Errorf("DoWait(boom=%v, maxWait=%v) = %v", boom, maxWait, err)
+				}
+			}
+		}(rand.New(rand.NewSource(int64(g) + 1)))
+	}
+	wg.Wait()
+
+	if got := peakRunning.Load(); got > workers {
+		t.Errorf("peak running %d exceeds %d workers", got, workers)
+	}
+	if got := peakAdmitted.Load(); got > workers+queue {
+		t.Errorf("peak admitted %d exceeds %d slots", got, workers+queue)
+	}
+	if ran.Load() != returned.Load() {
+		t.Errorf("%d tasks ran but %d DoWait calls reported running one", ran.Load(), returned.Load())
+	}
+	if p.InFlight() != 0 || p.QueueDepth() != 0 {
+		t.Fatalf("drained pool reports inFlight=%d queueDepth=%d, want 0/0", p.InFlight(), p.QueueDepth())
+	}
+	if err := p.DoWait(context.Background(), 0, func() {}); err != nil {
+		t.Fatalf("DoWait(0) on the drained pool = %v, want admission", err)
+	}
+}
+
+// TestPoolCloseWaitsForAdmittedTasks: Close returns only after every
+// admitted task — the running one and the one queued behind it — has
+// finished.
+func TestPoolCloseWaitsForAdmittedTasks(t *testing.T) {
+	p := NewPool(1, 1)
+	started, release := make(chan struct{}), make(chan struct{})
+	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-release }) }()
+	<-started
+	var queuedRan atomic.Bool
+	go func() { _ = p.DoWait(context.Background(), -1, func() { queuedRan.Store(true) }) }()
+	for p.QueueDepth() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted task was blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the blocked task was released")
+	}
+	if !queuedRan.Load() {
+		t.Fatal("Close returned before the queued task ran")
+	}
+}
+
+// labelledTask blocks until release; its frame marks the task's
+// goroutine in a goroutine profile.
+//
+//go:noinline
+func labelledTask(started, release chan struct{}) {
+	close(started)
+	<-release
+}
+
+// TestPoolTaskRunsUnderSubmitterLabels: a task submitted under a pprof
+// "route" label runs under that label, so CPU profiles attribute
+// extraction samples to the route that caused them.
+func TestPoolTaskRunsUnderSubmitterLabels(t *testing.T) {
+	p := NewPool(1, 0)
+	defer p.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go pprof.Do(context.Background(), pprof.Labels("route", "x"), func(ctx context.Context) {
+		done <- p.DoWait(ctx, -1, func() { labelledTask(started, release) })
+	})
+	<-started
+	var buf bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("DoWait = %v", err)
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(rec, "service.labelledTask") {
+			if !strings.Contains(rec, `# labels: {"route":"x"}`) {
+				t.Fatalf("task goroutine runs without the route label:\n%s", rec)
+			}
+			return
+		}
+	}
+	t.Fatalf("no goroutine running labelledTask in the profile:\n%s", buf.String())
 }

@@ -1,7 +1,7 @@
 // Package service turns the paper's offline rule *execution* step (§4)
 // into a long-running concurrent system: a registry of versioned rule
 // repositories that can be hot-loaded, staged, promoted and rolled back
-// at runtime, a bounded worker pool that executes extractions, request
+// at runtime, a pool that bounds concurrent extractions, request
 // metrics, and the HTTP handlers that expose them as the extractd daemon.
 //
 // The split mirrors the paper's architecture: rule *construction*
