@@ -1,9 +1,10 @@
 // Benchmark harness: one benchmark per paper artifact (tables, figures,
-// claim studies — see DESIGN.md §4) plus micro-benchmarks for the
-// substrates and ablation benches for the design choices DESIGN.md §5
-// calls out. Shape assertions run inside the benchmarks so a regression
-// in an experiment's qualitative outcome fails the bench run, not just
-// changes a number.
+// claim studies — `go run ./cmd/evaluate -list` prints their IDs, and
+// README "Paper walkthrough" shows how to regenerate one) plus
+// micro-benchmarks for the substrates and ablation benches for the
+// Builder's refinement strategies. Shape assertions run inside the
+// benchmarks so a regression in an experiment's qualitative outcome
+// fails the bench run, not just changes a number.
 package repro
 
 import (
@@ -546,7 +547,7 @@ func BenchmarkClusterPages(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches (DESIGN.md §5): refinement strategies on/off. Each
+// Ablation benches: the Builder's refinement strategies on/off. Each
 // reports held-out F1 as a custom metric alongside build time.
 
 func benchAblation(b *testing.B, configure func(*core.Builder)) {

@@ -51,7 +51,7 @@ func run(ctx context.Context, w io.Writer, start, out string, max int, delay, ti
 	}
 	if ndjson {
 		_, err := pipeline.Run(ctx, pipeline.Config{Workers: 1}, src,
-			pipeline.NewPageNDJSONSink(w))
+			pipeline.NewNDJSONSink(w, pipeline.AppendPageLine))
 		return err
 	}
 	sink, err := pipeline.NewPagesDirSink(out, "crawled")

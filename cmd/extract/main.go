@@ -82,7 +82,9 @@ func run(rulesPath, site, out, xsd, format, split string) error {
 	if format == "xml" {
 		sinks = append(sinks, pipeline.NewAggregateXML(outW, repo.Cluster, false))
 	} else {
-		sinks = append(sinks, pipeline.NewNDJSONSink(outW))
+		sinks = append(sinks, pipeline.NewNDJSONSink(outW, func(dst []byte, it *pipeline.Item) ([]byte, error) {
+			return pipeline.AppendResultLine(dst, it, "")
+		}))
 	}
 	// Failures stream to stderr as they surface, like the old batch
 	// driver's end-of-run report but without buffering the run.

@@ -3,9 +3,10 @@
 // experiment is a pure function returning a Report; cmd/evaluate prints
 // them and the benchmark harness re-runs them under testing.B.
 //
-// The per-experiment index lives in DESIGN.md; expected shapes (who wins,
-// where curves flatten) are recorded in EXPERIMENTS.md alongside measured
-// output.
+// `go run ./cmd/evaluate -list` prints the experiment IDs, and README
+// "Paper walkthrough" shows how to regenerate one. Each Report's Metrics
+// carry the expected shapes (who wins, where curves flatten) that the
+// benchmark harness asserts.
 package experiments
 
 import (

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"unicode/utf8"
 
@@ -27,8 +28,9 @@ type pageLineDecoder struct {
 }
 
 // maxRetainedScratch caps the per-line buffers kept between lines (the
-// decoder's unescape scratch, NDJSONSink's encode buffer), so one huge
-// page does not pin its buffer for the rest of the stream.
+// decoder's unescape scratch, NDJSONSink's line buffer, whatever its
+// appender), so one huge page does not pin its buffer for the rest of
+// the stream.
 const maxRetainedScratch = 1 << 20
 
 // decode fills *out from one trimmed, non-empty line.
@@ -205,9 +207,14 @@ func skipJSONSpace(line []byte, i int) int {
 // AppendResultLine appends the NDJSON result line of one item — exactly
 // the bytes json.Encoder.Encode writes for MakeResultLine(it) with Trace
 // set to trace, trailing newline included — without building the line
-// struct or the record's map tree. it.Score must be finite: encoding/json
-// refuses NaN and ±Inf, and NDJSONSink reports them as it does.
-func AppendResultLine(dst []byte, it *Item, trace string) []byte {
+// struct or the record's map tree. encoding/json refuses a NaN or ±Inf
+// score; so does AppendResultLine, with encoding/json's error and
+// nothing appended.
+func AppendResultLine(dst []byte, it *Item, trace string) ([]byte, error) {
+	if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
+		_, err := json.Marshal(it.Score)
+		return dst, err
+	}
 	uri := ""
 	if it.Page != nil {
 		uri = it.Page.URI
@@ -247,7 +254,7 @@ func AppendResultLine(dst []byte, it *Item, trace string) []byte {
 		dst = append(dst, `,"trace":`...)
 		dst = extract.AppendJSONString(dst, trace)
 	}
-	return append(dst, "}\n"...)
+	return append(dst, "}\n"...), nil
 }
 
 // appendJSONFloat formats a finite float64 as encoding/json does: the

@@ -154,8 +154,8 @@ func resultLineMatches(t *testing.T, it *Item, trace string) {
 	if err := json.NewEncoder(&want).Encode(line); err != nil {
 		t.Fatal(err)
 	}
-	if got := AppendResultLine(nil, it, trace); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("AppendResultLine diverges from json.Encoder\n  got  %s  want %s", got, want.Bytes())
+	if got, err := AppendResultLine(nil, it, trace); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("AppendResultLine diverges from json.Encoder (err %v)\n  got  %s  want %s", err, got, want.Bytes())
 	}
 }
 
@@ -174,7 +174,7 @@ func FuzzResultLine(f *testing.F) {
 	f.Add("u", "r", 1.0, uint8(3), "", "t", "")
 	f.Fuzz(func(t *testing.T, uri, repo string, score float64, kind uint8, text, trace, component string) {
 		if math.IsNaN(score) || math.IsInf(score, 0) {
-			t.Skip("non-finite scores are the sink's to refuse")
+			t.Skip("non-finite scores are refused: TestNDJSONSinkNonFiniteScore")
 		}
 		it := &Item{Page: core.NewPageLazy(uri, ""), Repo: repo, Score: score}
 		switch kind % 4 {
@@ -204,7 +204,8 @@ func FuzzResultLine(f *testing.F) {
 
 // TestWireCodecMatchesCorpus runs the realistic stream through both
 // directions: every page line decodes as json.Unmarshal decodes it, and
-// every result line encodes as json.Encoder encodes it.
+// every result line encodes as json.Encoder encodes it — and every page
+// line crawl -ndjson writes for a fixture page is json.Encoder's too.
 func TestWireCodecMatchesCorpus(t *testing.T) {
 	fx := loadWireFixture(t)
 	var d pageLineDecoder
@@ -213,6 +214,57 @@ func TestWireCodecMatchesCorpus(t *testing.T) {
 	}
 	for _, it := range fx.items {
 		resultLineMatches(t, it, "0123456789abcdef0123456789abcdef")
+	}
+	for _, it := range fx.items {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(PageLine{URI: it.Page.URI, HTML: dom.Render(it.Page.Document())}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := AppendPageLine(nil, &Item{Page: it.Page}); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendPageLine diverges from json.Encoder (err %v)\n  got  %.200s\n  want %.200s", err, got, want.Bytes())
+		}
+	}
+}
+
+// resultLines is the result-line appender extract -format ndjson hands
+// NDJSONSink, with trace stamped on every line.
+func resultLines(trace string) func([]byte, *Item) ([]byte, error) {
+	return func(dst []byte, it *Item) ([]byte, error) { return AppendResultLine(dst, it, trace) }
+}
+
+// flushCounter is an io.Writer that counts Write and Flush calls.
+type flushCounter struct {
+	bytes.Buffer
+	writes, flushes int
+}
+
+func (w *flushCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(b)
+}
+
+func (w *flushCounter) Flush() { w.flushes++ }
+
+// TestNDJSONSinkSkipsEmptyLines: an item its appender appends nothing
+// for — a failed fetch under AppendPageLine, as crawl -ndjson sees it —
+// costs no Write and no Flush, and does not count as a line gone out;
+// a page after it goes out as one Write and one Flush.
+func TestNDJSONSinkSkipsEmptyLines(t *testing.T) {
+	var w flushCounter
+	sink := NewNDJSONSink(&w, AppendPageLine)
+	page := core.NewPageLazy("http://x/1", "<p>x</p>")
+	if err := sink.Emit(&Item{Page: page, Err: errors.New("fetch failed")}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 0 || w.flushes != 0 || sink.Wrote() {
+		t.Fatalf("error item: %d writes, %d flushes, Wrote %v; want nothing", w.writes, w.flushes, sink.Wrote())
+	}
+	if err := sink.Emit(&Item{Page: page}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := AppendPageLine(nil, &Item{Page: page})
+	if w.writes != 1 || w.flushes != 1 || !sink.Wrote() || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("page: %d writes, %d flushes, Wrote %v, wrote %q; want one flushed %q", w.writes, w.flushes, sink.Wrote(), w.Bytes(), want)
 	}
 }
 
@@ -223,7 +275,7 @@ func TestNDJSONSinkNonFiniteScore(t *testing.T) {
 		it := &Item{Page: core.NewPageLazy("u", ""), Repo: "r", Score: score}
 		want := json.NewEncoder(&bytes.Buffer{}).Encode(MakeResultLine(it))
 		var out bytes.Buffer
-		err := NewNDJSONSink(&out).Emit(it)
+		err := NewNDJSONSink(&out, resultLines("")).Emit(it)
 		if err == nil || want == nil || err.Error() != want.Error() || out.Len() != 0 {
 			t.Errorf("score %v: err %v (wrote %d bytes), json.Encoder err %v", score, err, out.Len(), want)
 		}
@@ -263,9 +315,9 @@ func TestResultLineEncodeAllocs(t *testing.T) {
 	if it == nil {
 		t.Fatal("fixture has no clean record")
 	}
-	buf := AppendResultLine(nil, it, "trace")
+	buf, _ := AppendResultLine(nil, it, "trace")
 	allocs := testing.AllocsPerRun(200, func() {
-		buf = AppendResultLine(buf[:0], it, "trace")
+		buf, _ = AppendResultLine(buf[:0], it, "trace")
 	})
 	if allocs > 0 {
 		t.Errorf("warm AppendResultLine = %.1f allocs/line, want 0", allocs)
@@ -332,7 +384,7 @@ func BenchmarkResultLineEncode(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = AppendResultLine(buf[:0], items[i%len(items)], trace)
+			buf, _ = AppendResultLine(buf[:0], items[i%len(items)], trace)
 		}
 	})
 	b.Run("encoding-json", func(b *testing.B) {

@@ -4,17 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dom"
 	"repro/internal/extract"
 )
-
-// flusher is the subset of http.Flusher the streaming sinks care about:
-// pushing one finished result to the client before the next is ready.
-type flusher interface{ Flush() }
 
 // ---------------------------------------------------------------------------
 // Raw-page sinks (no extraction stage).
@@ -57,36 +52,20 @@ func (s *PagesDirSink) Close() error { return s.man.Write(s.dir) }
 // PageCount reports how many pages were written.
 func (s *PagesDirSink) PageCount() int { return s.n }
 
-// PageNDJSONSink writes raw pages as NDJSON {"uri","html"} lines — the
-// wire format POST /ingest consumes, so `crawl -ndjson | curl
-// --data-binary @- .../ingest` migrates a live site without touching
-// disk.
-type PageNDJSONSink struct {
-	w   io.Writer
-	enc *json.Encoder
-}
-
-// NewPageNDJSONSink writes page lines to w.
-func NewPageNDJSONSink(w io.Writer) *PageNDJSONSink {
-	return &PageNDJSONSink{w: w, enc: json.NewEncoder(w)}
-}
-
-// Emit implements Sink.
-func (s *PageNDJSONSink) Emit(it *Item) error {
+// AppendPageLine appends a fetched page's {"uri","html"} line, as
+// json.Encoder writes it — the format POST /ingest consumes, so `crawl
+// -ndjson | curl --data-binary @- .../ingest` migrates a live site
+// without touching disk. A failed fetch has no page and appends nothing.
+func AppendPageLine(dst []byte, it *Item) ([]byte, error) {
 	if it.Err != nil || it.Page == nil || it.Page.Document() == nil {
-		return nil
+		return dst, nil
 	}
-	if err := s.enc.Encode(PageLine{URI: it.Page.URI, HTML: dom.Render(it.Page.Doc)}); err != nil {
-		return err
+	line, err := json.Marshal(PageLine{URI: it.Page.URI, HTML: dom.Render(it.Page.Doc)})
+	if err != nil {
+		return dst, err
 	}
-	if f, ok := s.w.(flusher); ok {
-		f.Flush()
-	}
-	return nil
+	return append(append(dst, line...), '\n'), nil
 }
-
-// Close implements Sink.
-func (s *PageNDJSONSink) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Extraction-result sinks.
@@ -126,42 +105,47 @@ func MakeResultLine(it *Item) ResultLine {
 	return line
 }
 
-// NDJSONSink streams extraction results as NDJSON, one line per page,
-// flushing after every line when the writer supports it — the sink
-// behind POST /ingest's streamed response. Lines are encoded by
-// AppendResultLine into a reused buffer and written with one Write each.
+// NDJSONSink is the one NDJSON line writer, behind POST /ingest, POST
+// /extract/batch, crawl -ndjson and extract -format ndjson. Its appender
+// renders each item into a reused buffer; the sink writes the line with
+// one Write and flushes it when the writer can. An item the appender
+// appended nothing for is skipped.
 type NDJSONSink struct {
-	w io.Writer
-	// Trace, when set, is stamped on every line (ResultLine.Trace).
-	Trace string
+	w     io.Writer
+	line  func(dst []byte, it *Item) ([]byte, error)
 	buf   []byte
+	wrote bool
 }
 
-// NewNDJSONSink writes result lines to w.
-func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	return &NDJSONSink{w: w}
+// NewNDJSONSink writes the lines line appends to w — AppendResultLine,
+// AppendPageLine or an endpoint's own line shape.
+func NewNDJSONSink(w io.Writer, line func(dst []byte, it *Item) ([]byte, error)) *NDJSONSink {
+	return &NDJSONSink{w: w, line: line}
 }
 
 // Emit implements Sink.
 func (s *NDJSONSink) Emit(it *Item) error {
-	if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
-		// encoding/json refuses non-finite floats; report its error.
-		_, err := json.Marshal(it.Score)
+	buf, err := s.line(s.buf[:0], it)
+	if err != nil || len(buf) == 0 {
 		return err
 	}
-	s.buf = AppendResultLine(s.buf[:0], it, s.Trace)
-	_, err := s.w.Write(s.buf)
-	if cap(s.buf) > maxRetainedScratch {
-		s.buf = nil
+	s.wrote = true
+	_, err = s.w.Write(buf)
+	if cap(buf) > maxRetainedScratch {
+		buf = nil
 	}
+	s.buf = buf
 	if err != nil {
 		return err
 	}
-	if f, ok := s.w.(flusher); ok {
+	if f, ok := s.w.(interface{ Flush() }); ok {
 		f.Flush()
 	}
 	return nil
 }
+
+// Wrote reports whether a line went out (and with it a response status).
+func (s *NDJSONSink) Wrote() bool { return s.wrote }
 
 // Close implements Sink.
 func (s *NDJSONSink) Close() error { return nil }

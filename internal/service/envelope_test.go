@@ -283,16 +283,13 @@ func (w *cancelOnWrite) Write(b []byte) (int, error) {
 	return w.ResponseRecorder.Write(b)
 }
 
-// TestExtractBatchMidStreamError: a run that fails after a result line
-// went out reports the error as one compact NDJSON line — no second
-// status, no indented object — and still counts as an endpoint error.
+// TestExtractBatchMidStreamError: on both streamed endpoints, a run that
+// fails after a result line went out reports the error in-band — one
+// compact {"error"} line on /extract/batch, the summary line on /ingest —
+// with no second status and no indented object, and still counts as an
+// endpoint error.
 func TestExtractBatchMidStreamError(t *testing.T) {
-	srv := NewServer(2, 4, nil)
-	defer srv.Close()
 	cl, repo := buildMoviesRepo(t, 88, 8)
-	if _, err := srv.LoadRepo("movies", repo); err != nil {
-		t.Fatal(err)
-	}
 	var in bytes.Buffer
 	for _, p := range cl.Pages[:4] {
 		line, err := json.Marshal(pipeline.PageLine{URI: p.URI, HTML: dom.Render(p.Doc)})
@@ -301,28 +298,57 @@ func TestExtractBatchMidStreamError(t *testing.T) {
 		}
 		in.Write(append(line, '\n'))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := &cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
-	req := httptest.NewRequest(http.MethodPost, "/extract/batch?repo=movies", &in).WithContext(ctx)
-	srv.Handler().ServeHTTP(w, req)
+	for _, tc := range []struct {
+		path, endpoint string
+		// checkTail checks the line after the one result line.
+		checkTail func(t *testing.T, line string)
+	}{
+		{"/extract/batch", "extract.batch", func(t *testing.T, line string) {
+			if want := `{"error":"context canceled"}` + "\n"; line != want {
+				t.Errorf("last line = %q, want %q", line, want)
+			}
+		}},
+		{"/ingest", "ingest", func(t *testing.T, line string) {
+			var sum ingestSummary
+			if err := json.Unmarshal([]byte(line), &sum); err != nil {
+				t.Fatalf("summary line %q: %v", line, err)
+			}
+			// Pages is not pinned: how many pages the run emitted before
+			// it saw the cancellation varies between runs.
+			if !sum.Done || sum.Error != "context canceled" || sum.Trace == "" {
+				t.Errorf("summary = %+v, want done, error \"context canceled\" and a trace", sum)
+			}
+		}},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			srv := NewServer(2, 4, nil)
+			defer srv.Close()
+			if _, err := srv.LoadRepo("movies", repo); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+			body := bytes.NewReader(in.Bytes())
+			req := httptest.NewRequest(http.MethodPost, tc.path+"?repo=movies", body).WithContext(ctx)
+			srv.Handler().ServeHTTP(w, req)
 
-	if w.writeHeaders != 0 || w.Code != http.StatusOK {
-		t.Errorf("status %d after %d WriteHeader calls, want the streamed 200 alone", w.Code, w.writeHeaders)
-	}
-	lines := strings.SplitAfter(w.Body.String(), "\n")
-	if len(lines) != 3 || lines[2] != "" {
-		t.Fatalf("body = %q, want one result line and one error line", w.Body.String())
-	}
-	var first extractResult
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil || first.URI != cl.Pages[0].URI {
-		t.Errorf("first line %q: %v", lines[0], err)
-	}
-	if want := `{"error":"context canceled"}` + "\n"; lines[1] != want {
-		t.Errorf("last line = %q, want %q", lines[1], want)
-	}
-	if n := srv.Metrics.Snapshot().Errors["extract.batch"]; n != 1 {
-		t.Errorf("extract.batch errors = %d, want 1", n)
+			if w.writeHeaders != 0 || w.Code != http.StatusOK {
+				t.Errorf("status %d after %d WriteHeader calls, want the streamed 200 alone", w.Code, w.writeHeaders)
+			}
+			lines := strings.SplitAfter(w.Body.String(), "\n")
+			if len(lines) != 3 || lines[2] != "" {
+				t.Fatalf("body = %q, want one result line and one closing line", w.Body.String())
+			}
+			var first struct{ URI string }
+			if err := json.Unmarshal([]byte(lines[0]), &first); err != nil || first.URI != cl.Pages[0].URI {
+				t.Errorf("first line %q: %v", lines[0], err)
+			}
+			tc.checkTail(t, lines[1])
+			if n := srv.Metrics.Snapshot().Errors[tc.endpoint]; n != 1 {
+				t.Errorf("%s errors = %d, want 1", tc.endpoint, n)
+			}
+		})
 	}
 }
 

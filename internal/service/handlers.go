@@ -56,6 +56,12 @@ import (
 //	GET  /repos/{name}/versions  retained repository versions + per-version stats
 //	POST /repos/{name}/repair    rebuild broken rules from the sample buffer (?promote=auto|never|force)
 //	POST /repos/{name}/rollback  re-activate the previous version
+//	POST /schedules              register a recrawl: JSON {"repo","url","interval"} (needs EnableMonitor)
+//	GET  /schedules              list recrawl schedules
+//	POST /schedules/{repo}/pause pause a repository's recrawls
+//	POST /schedules/{repo}/resume resume a paused schedule
+//	DELETE /schedules/{repo}     remove a schedule
+//	GET  /changes                change feed as NDJSON: events after ?since=, ?follow=1 tails
 //	GET  /healthz                liveness + registry/pool summary
 //	GET  /metrics                counters, failure breakdown, latency histogram, lifecycle events
 type Server struct {
@@ -441,7 +447,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		} else if sw.status >= http.StatusBadRequest {
 			level = slog.LevelWarn
 		}
-		attrs := make([]slog.Attr, 0, 9)
+		attrs := make([]slog.Attr, 0, 7)
 		attrs = append(attrs,
 			slog.String("method", r.Method),
 			slog.String("route", route),
@@ -451,11 +457,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			slog.Duration("duration", time.Since(start)))
 		if repo := r.URL.Query().Get("repo"); repo != "" {
 			attrs = append(attrs, slog.String("repo", repo))
-		}
-		// Tenant-ready: multi-tenancy (ROADMAP item 3) will scope requests
-		// by authenticated tenant; until then the header is advisory.
-		if tenant := r.Header.Get("X-Tenant"); tenant != "" {
-			attrs = append(attrs, slog.String("tenant", tenant))
 		}
 		s.logger().LogAttrs(ctx, level, "request", attrs...)
 	})
@@ -824,9 +825,11 @@ func (s *Server) pageFor(uri string, body []byte) *core.Page {
 	return s.pageForKey(uri, PageKeyOf(body), int64(len(body)), func() string { return string(body) })
 }
 
-// pageForString is pageFor for bodies already held as strings (batch
-// lines): hashing pays the one unavoidable byte-slice conversion, but the
-// original string feeds the parser directly, so no second full-body copy.
+// pageForString is pageFor for bodies already held as strings (the page
+// lines of /extract/batch and /ingest, which so share /extract's page
+// cache and synthetic-URI naming): hashing pays the one unavoidable
+// byte-slice conversion, but the original string feeds the parser
+// directly, so no second full-body copy.
 func (s *Server) pageForString(uri, html string) *core.Page {
 	if s.PageCache == nil {
 		if uri == "" {
@@ -887,13 +890,6 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pageParser adapts the server's cache-aware page assembly to the
-// pipeline's parser hook: batch and ingest lines flow through the same
-// page cache and synthetic-URI naming as /extract bodies.
-func (s *Server) pageParser() pipeline.PageParser {
-	return func(uri, html string) *core.Page { return s.pageForString(uri, html) }
-}
-
 // extractor adapts the server to the pipeline's Extract stage: per-page
 // repository resolution (routed pages may target different repositories
 // within one run), pool admission, metrics, drift observation.
@@ -927,6 +923,33 @@ func (s *Server) runPipeline(ctx context.Context, classify pipeline.Classifier, 
 		Telemetry:  s.Metrics.Pipeline,
 		OnPanic:    s.pipelinePanic,
 	}, src, sink)
+}
+
+// streamNDJSON runs a streamed NDJSON exchange (/extract/batch, /ingest):
+// the page lines of body, each bounded like an /extract body, go through
+// classify and the extractor, and every result goes out as the line line
+// appends. tail renders the closing line, if any, from the stats, whether
+// a result line went out and the run error; an error it carried in-band
+// comes back as a streamedError, one it left out as is, for endpoint.
+func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify pipeline.Classifier, body io.Reader,
+	line func(dst []byte, it *pipeline.Item) ([]byte, error),
+	tail func(stats pipeline.Stats, wrote bool, err error) []byte) error {
+	src := pipeline.NewNDJSONSource(body, int(s.maxBody()), s.pageForString)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	sink := pipeline.NewNDJSONSink(w, line)
+	stats, err := s.runPipeline(r.Context(), classify, src, sink)
+	if end := tail(stats, sink.Wrote(), err); len(end) > 0 {
+		// A failed tail write means the client went away; the run's own
+		// outcome is what endpoint counts.
+		_, _ = w.Write(end)
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		if err != nil {
+			return streamedError{err}
+		}
+	}
+	return err
 }
 
 // requestClassifier returns the pipeline Classify stage for a request:
@@ -972,31 +995,18 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		if len(bytes.TrimSpace(body)) == 0 {
 			return errf(http.StatusBadRequest, "empty batch")
 		}
-		src := pipeline.NewNDJSONSource(bytes.NewReader(body), int(s.maxBody()), s.pageParser())
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		var line []byte
-		streamed := false
-		sink := pipeline.FuncSink(func(it *pipeline.Item) error {
-			line = append(s.appendBatchLine(line[:0], it), '\n')
-			streamed = true
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-		_, err = s.runPipeline(r.Context(), classify, src, sink)
-		if err != nil && streamed {
-			// The status went out with the first line: the run error
-			// travels as one more NDJSON line instead.
-			_, _ = w.Write(append(appendErrorObject(nil, err.Error()), '\n'))
-			return streamedError{err}
-		}
-		return err
+		return s.streamNDJSON(w, r, classify, bytes.NewReader(body),
+			func(dst []byte, it *pipeline.Item) ([]byte, error) {
+				return append(s.appendBatchLine(dst, it), '\n'), nil
+			},
+			func(_ pipeline.Stats, wrote bool, err error) []byte {
+				// Once a line went out, so did the status: the run error
+				// travels as one more NDJSON line instead.
+				if err == nil || !wrote {
+					return nil
+				}
+				return append(appendErrorObject(nil, err.Error()), '\n')
+			})
 	})
 }
 

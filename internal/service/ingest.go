@@ -37,83 +37,56 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	streamed, err := s.ingest(w, r)
 	// A failed run counts as an ingest error even though the HTTP status
 	// is long gone once the stream started — operators watch the
 	// /metrics error counters, not just response codes.
-	s.Metrics.Request("ingest", err != nil)
-	if err != nil && !streamed {
-		status := http.StatusInternalServerError
-		if he, ok := err.(*httpError); ok {
-			status = he.status
+	s.endpoint("ingest", w, r, func() error {
+		classify, err := s.requestClassifier(r)
+		if err != nil {
+			return err
 		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
-	}
-}
-
-// ingest runs the streaming exchange; streamed reports whether response
-// bytes were already written (after which errors travel on the summary
-// line, not the status).
-func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (streamed bool, err error) {
-	classify, err := s.requestClassifier(r)
-	if err != nil {
-		return false, err
-	}
-	// Interleave request-body reads with response writes (HTTP/1.1
-	// servers otherwise discard the remaining body once the response
-	// starts). On transports without support (HTTP/2 always
-	// interleaves) this is a no-op.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	// /ingest is exempt from the per-request deadline (instrument) and
-	// from the http.Server read/write timeouts (main.go carve-out): the
-	// stream lives as long as the site does. Clear any connection
-	// deadlines the listener config set so a long migration isn't cut
-	// off mid-stream; each page's extraction is still individually
-	// bounded by RequestTimeout inside the extractor.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Time{})
-	_ = rc.SetWriteDeadline(time.Time{})
-
-	// Lines are bounded like /extract bodies; the stream itself is
-	// unbounded — that is the point.
-	src := pipeline.NewNDJSONSource(r.Body, int(s.maxBody()), s.pageParser())
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// One connection per ingest exchange. A site migration is a
-	// long-lived stream with nothing to reuse afterwards — and on
-	// HTTP/1.1, reusing a connection after a full-duplex exchange
-	// that did not consume its body to EOF races the server's
-	// background-read accounting (the post-handler body drain fires
-	// the deferred background read after abortPendingRead already
-	// ran, panicking the next read on the connection).
-	w.Header().Set("Connection", "close")
-	trace := obs.Trace(r.Context())
-	sink := pipeline.NewNDJSONSink(w)
-	sink.Trace = trace
-
-	start := time.Now()
-	stats, runErr := s.runPipeline(r.Context(), classify, src, sink)
-
-	// The response status is long gone; a run-level failure travels
-	// on the summary line instead.
-	sum := ingestSummary{Done: true, Stats: stats, Trace: trace}
-	if runErr != nil {
-		sum.Error = runErr.Error()
-	}
-	_ = json.NewEncoder(w).Encode(sum)
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
-
-	level := slog.LevelInfo
-	if runErr != nil {
-		level = slog.LevelError
-	}
-	s.logger().LogAttrs(r.Context(), level, "ingest.done",
-		slog.Int("pages", stats.Pages), slog.Int("extracted", stats.Extracted),
-		slog.Int("unrouted", stats.Unrouted), slog.Int("pageErrors", stats.PageErrors),
-		slog.Duration("duration", time.Since(start)),
-		slog.String("error", sum.Error))
-	return true, runErr
+		// Interleave body reads with response writes: HTTP/1.1 servers
+		// otherwise discard the rest of the body once the response
+		// starts (a no-op where unsupported; HTTP/2 always interleaves).
+		// /ingest is exempt from the request deadline (instrument) and
+		// the http.Server timeouts (main.go carve-out), so clear any
+		// connection deadlines the listener set: the stream lives as
+		// long as the site does, and RequestTimeout bounds each page's
+		// extraction inside the extractor instead.
+		rc := http.NewResponseController(w)
+		_ = rc.EnableFullDuplex()
+		_ = rc.SetReadDeadline(time.Time{})
+		_ = rc.SetWriteDeadline(time.Time{})
+		// One connection per ingest exchange: a migration leaves nothing
+		// to reuse, and on HTTP/1.1 reusing a connection after a
+		// full-duplex exchange that did not read its body to EOF races
+		// the server's background-read accounting (the post-handler
+		// drain fires the deferred background read after
+		// abortPendingRead ran, panicking the next read).
+		w.Header().Set("Connection", "close")
+		trace := obs.Trace(r.Context())
+		start := time.Now()
+		return s.streamNDJSON(w, r, classify, r.Body,
+			func(dst []byte, it *pipeline.Item) ([]byte, error) {
+				return pipeline.AppendResultLine(dst, it, trace)
+			},
+			func(stats pipeline.Stats, _ bool, runErr error) []byte {
+				// The summary line always closes the stream: a run-level
+				// failure travels on it, not on the status.
+				sum := ingestSummary{Done: true, Stats: stats, Trace: trace}
+				level := slog.LevelInfo
+				if runErr != nil {
+					sum.Error = runErr.Error()
+					level = slog.LevelError
+				}
+				s.logger().LogAttrs(r.Context(), level, "ingest.done",
+					slog.Int("pages", stats.Pages), slog.Int("extracted", stats.Extracted),
+					slog.Int("unrouted", stats.Unrouted), slog.Int("pageErrors", stats.PageErrors),
+					slog.Duration("duration", time.Since(start)),
+					slog.String("error", sum.Error))
+				// Ints, strings and a map of ints: Marshal cannot fail.
+				line, _ := json.Marshal(sum)
+				return append(line, '\n')
+			})
+	})
 }

@@ -257,9 +257,10 @@ func TestIngestExplicitRepoPinsRouting(t *testing.T) {
 }
 
 // TestIngestUnknownRepo: a bad explicit repo fails before the stream
-// starts, as a regular HTTP error.
+// starts, as a regular HTTP error with a JSON body, counted against the
+// endpoint.
 func TestIngestUnknownRepo(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/ingest?repo=nope", "application/x-ndjson",
 		strings.NewReader(`{"uri":"x","html":"<p>x</p>"}`))
 	if err != nil {
@@ -268,6 +269,16 @@ func TestIngestUnknownRepo(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || !strings.Contains(body.Error, `"nope"`) {
+		t.Errorf("body error %q (%v), want the unknown repository named", body.Error, err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	if n := srv.Metrics.Snapshot().Errors["ingest"]; n != 1 {
+		t.Errorf("ingest errors = %d, want 1", n)
 	}
 }
 
