@@ -37,7 +37,6 @@ func TestExtractPageAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := cl.Pages[len(cl.Pages)-1]
-	proc.Freeze()
 	// Warm the evaluator's scratch pool before measuring.
 	for i := 0; i < 3; i++ {
 		proc.ExtractPage(page)
@@ -125,7 +124,6 @@ func TestExtractPageStreamAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.Freeze()
 	html := dom.Render(cl.Pages[len(cl.Pages)-1].Doc)
 	for i := 0; i < 3; i++ {
 		if _, _, info := proc.ExtractPageStream("http://x/p", html); !info.Hit {

@@ -495,7 +495,6 @@ func BenchmarkStreamExtract(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proc.Freeze()
 	page := cl.Pages[len(cl.Pages)-1]
 	html := dom.Render(page.Doc)
 	b.SetBytes(int64(len(html)))

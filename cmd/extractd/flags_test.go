@@ -198,20 +198,6 @@ func TestFlags(t *testing.T) {
 				t.Error("AutoRepair off under -auto-repair")
 			}
 		}},
-		{"page-cache", []string{"-page-cache", "2"}, func(t *testing.T, srv *service.Server, _ options, _ *syncBuffer) {
-			for i := 0; i < 3; i++ {
-				body := fmt.Sprintf("<p>%d</p>", i)
-				srv.PageCache.Put(service.PageKeyOf([]byte(body)), dom.Parse(body), int64(len(body)))
-			}
-			if got := srv.PageCache.Len(); got != 2 {
-				t.Errorf("page cache holds %d documents, want 2", got)
-			}
-		}},
-		{"page-cache off", []string{"-page-cache", "0"}, func(t *testing.T, srv *service.Server, _ options, _ *syncBuffer) {
-			if srv.PageCache != nil {
-				t.Error("page cache on under -page-cache 0")
-			}
-		}},
 		{"induct", []string{"-induct"}, func(t *testing.T, srv *service.Server, _ options, _ *syncBuffer) {
 			if srv.Induct == nil {
 				t.Error("no induction engine under -induct")
@@ -313,11 +299,18 @@ func TestFixedSettings(t *testing.T) {
 	if inductMinPages != 8 || inductWorkers != 1 {
 		t.Errorf("induct min pages/workers = %d/%d, want 8/1", inductMinPages, inductWorkers)
 	}
+	for i := 0; i <= service.DefaultPageCacheSize; i++ {
+		body := fmt.Sprintf("<p>%d</p>", i)
+		srv.PageCache.Put(service.PageKeyOf([]byte(body)), dom.Parse(body), int64(len(body)))
+	}
+	if got := srv.PageCache.Len(); got != service.DefaultPageCacheSize {
+		t.Errorf("page cache holds %d documents, want %d", got, service.DefaultPageCacheSize)
+	}
 	// A command line that tries to set one fails instead of being
 	// silently ignored.
 	for _, name := range []string{"queue", "drift-window", "drift-ratio", "router-learn",
 		"drain-timeout", "request-timeout", "admission-wait", "induct-min-pages",
-		"induct-workers", "snapshot-every"} {
+		"induct-workers", "snapshot-every", "page-cache"} {
 		if _, err := parseOptions([]string{"-" + name + "=1"}, io.Discard); err == nil {
 			t.Errorf("-%s still accepted", name)
 		}

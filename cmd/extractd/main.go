@@ -37,10 +37,11 @@
 // and a background compaction every 5 minutes keeps the WAL short (see
 // README "Durability").
 //
-// -page-cache sizes the content-addressed LRU of parsed documents
-// (repeated posts of identical HTML skip the parser; hit/miss counters in
-// /metrics). -pprof PORT serves net/http/pprof on localhost only, for
-// profiling the live daemon.
+// A content-addressed LRU of parsed documents
+// (service.DefaultPageCacheSize) lets repeated posts of identical HTML
+// skip the parser; hit/miss counters are in /metrics. -pprof PORT
+// serves net/http/pprof on localhost only, for profiling the live
+// daemon.
 //
 // Each -rules flag names a repository file (JSON from retrozilla, or the
 // XML interchange form), optionally prefixed "name=" to register it under
@@ -141,7 +142,6 @@ type options struct {
 	noFetch       bool
 	fetchHosts    []string
 	autoRepair    bool
-	pageCache     int
 	induct        bool
 	inductTruth   string
 	monitor       bool
@@ -166,8 +166,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		"comma-separated host allowlist for /extract/url (empty allows any host)")
 	fs.BoolVar(&opts.autoRepair, "auto-repair", false,
 		"repair and promote a repository automatically when its drift alarm trips")
-	fs.IntVar(&opts.pageCache, "page-cache", service.DefaultPageCacheSize,
-		"parsed-page LRU cache size in documents (0 disables)")
 	fs.IntVar(&opts.pprof, "pprof", 0,
 		"serve net/http/pprof on localhost:PORT for live profiling (0 disables)")
 	fs.BoolVar(&opts.induct, "induct", false,
@@ -246,7 +244,6 @@ func newServer(opts options) (*service.Server, error) {
 	// Cleanly extracted explicit-repo traffic grows routing signatures.
 	srv.RouterLearn = true
 	srv.Lifecycle = lifecycle.Config{WindowSize: driftWindow, TripRatio: driftRatio, Logger: opts.log}
-	srv.PageCache = service.NewPageCache(opts.pageCache)
 	srv.AllowedHosts = opts.fetchHosts
 	if opts.induct {
 		eng := srv.EnableInduction(induct.Config{MinPages: inductMinPages, Workers: inductWorkers})

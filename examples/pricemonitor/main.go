@@ -88,7 +88,6 @@ func run(w io.Writer) error {
 		MinInterval: time.Minute,
 		MaxInterval: 8 * time.Minute,
 		Budget:      1,
-		JitterFrac:  0,
 		Rand:        func() float64 { return 0 },
 		Clock:       clock,
 		Log:         quiet,

@@ -149,18 +149,6 @@ func (r *Router) Len() int {
 	return len(r.sigs)
 }
 
-// Names lists the registered clusters, sorted.
-func (r *Router) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.sigs))
-	for n := range r.sigs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // urlVerifyEvery is the sampled-verification cadence of the URL fast
 // path: each learned pattern serves this many fast routes, then the next
 // page pays a full fingerprint match to confirm the cached decision still

@@ -75,29 +75,3 @@ func (b *Builder) RepairRule(r rule.Rule, verbose bool) (RepairResult, error) {
 	}
 	return out, nil
 }
-
-// RepairRepository re-checks every rule of a repository against the
-// sample and rebuilds the failing ones in place. It returns the outcome
-// per component.
-func (b *Builder) RepairRepository(repo *rule.Repository) (map[string]RepairResult, error) {
-	out := make(map[string]RepairResult, len(repo.Rules))
-	// Collect names first: Record mutates the slice we iterate.
-	names := make([]string, len(repo.Rules))
-	for i := range repo.Rules {
-		names[i] = repo.Rules[i].Name
-	}
-	for _, name := range names {
-		r, _ := repo.Lookup(name)
-		res, err := b.RepairRule(*r, false)
-		if err != nil {
-			return out, fmt.Errorf("core: repairing %q: %w", name, err)
-		}
-		out[name] = res
-		if res.Outcome == RepairRebuilt {
-			if err := repo.Record(res.Rule); err != nil {
-				return out, err
-			}
-		}
-	}
-	return out, nil
-}

@@ -75,9 +75,19 @@ func TestRepairAfterDrift(t *testing.T) {
 		return relocate(cl, p, component)
 	})
 	rb := &core.Builder{Sample: core.Sample(drifted[:10]), Oracle: driftedOracle}
-	results, err := rb.RepairRepository(repo)
-	if err != nil {
-		t.Fatal(err)
+	results := map[string]core.RepairResult{}
+	for _, name := range repo.ComponentNames() {
+		r, _ := repo.Lookup(name)
+		res, err := rb.RepairRule(*r, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[name] = res
+		if res.Outcome == core.RepairRebuilt {
+			if err := repo.Record(res.Rule); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if results["title"].Outcome != core.RepairUnchanged {
 		t.Errorf("title outcome = %v, want unchanged", results["title"].Outcome)

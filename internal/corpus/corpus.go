@@ -77,16 +77,6 @@ func (c *Cluster) Oracle() core.Oracle {
 	})
 }
 
-// Spec looks up a component spec by name.
-func (c *Cluster) Spec(name string) (ComponentSpec, bool) {
-	for _, s := range c.Components {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return ComponentSpec{}, false
-}
-
 // ComponentNames lists the cluster's components in declaration order.
 func (c *Cluster) ComponentNames() []string {
 	out := make([]string, len(c.Components))

@@ -230,17 +230,6 @@ func (n *Node) Children() []*Node {
 	return out
 }
 
-// ChildElements returns the direct element children of n in order.
-func (n *Node) ChildElements() []*Node {
-	var out []*Node
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		if c.Type == ElementNode {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ElementIndex returns the 1-based position of n among its element
 // siblings with the same tag name — exactly the index used in the
 // position-based XPaths the mapping-rule builder generates

@@ -18,19 +18,6 @@ func Walk(n *Node, visit func(*Node) bool) {
 	}
 }
 
-// Descendants returns every descendant of n (excluding n) in document
-// order.
-func Descendants(n *Node) []*Node {
-	var out []*Node
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		Walk(c, func(d *Node) bool {
-			out = append(out, d)
-			return true
-		})
-	}
-	return out
-}
-
 // TextContent concatenates every descendant text node of n in document
 // order. For a text node it returns the node's own data.
 func TextContent(n *Node) string {

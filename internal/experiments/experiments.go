@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -253,16 +252,6 @@ func shuffled(pages []*core.Page, seed int64) []*core.Page {
 	r := rand.New(rand.NewSource(seed))
 	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
-}
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys(m map[string]Score) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func fmtPct(f float64) string { return fmt.Sprintf("%5.1f%%", 100*f) }

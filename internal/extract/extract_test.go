@@ -70,42 +70,6 @@ func TestFigure5Document(t *testing.T) {
 	}
 }
 
-func TestPostprocessing(t *testing.T) {
-	repo := figure5Repo(t)
-	p, err := NewProcessor(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetPost("runtime", TrimSuffixPost(" min")); err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := p.ExtractCluster(moviePages()[:1])
-	got := doc.Children[0].Find("runtime").Text
-	if got != "108" {
-		t.Errorf("post-processed runtime = %q, want 108", got)
-	}
-	// The first extraction froze the processor: late SetPost must fail.
-	if err := p.SetPost("runtime", nil); err == nil {
-		t.Error("SetPost after extraction should fail")
-	}
-}
-
-func TestPostprocessorHelpers(t *testing.T) {
-	if TrimPrefixPost("Rated ")("Rated 8.2") != "8.2" {
-		t.Error("TrimPrefixPost")
-	}
-	if FirstFieldPost()("108 min") != "108" {
-		t.Error("FirstFieldPost")
-	}
-	chained := ChainPost(TrimSuffixPost("min"), FirstFieldPost())
-	if chained("108 min") != "108" {
-		t.Error("ChainPost")
-	}
-	if FirstFieldPost()("") != "" {
-		t.Error("FirstFieldPost empty")
-	}
-}
-
 func TestSchemaGenerationCardinalities(t *testing.T) {
 	repo := rule.NewRepository("imdb-movies")
 	rules := []rule.Rule{

@@ -32,7 +32,7 @@ func diffRepos(t testing.TB) map[string]*Processor {
 		if err != nil {
 			t.Fatalf("compile %s: %v", cluster, err)
 		}
-		return proc.Freeze()
+		return proc
 	}
 	eligible := mk("fuzzstream",
 		rule.Rule{Name: "title", Optionality: rule.Mandatory, Multiplicity: rule.SingleValued,

@@ -3,7 +3,6 @@ package extract
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"unicode/utf8"
 )
@@ -347,13 +346,6 @@ func (e *Element) jsonDocument() []byte {
 	compact := append(AppendJSONString([]byte{'{'}, e.Name), ':')
 	compact = append(e.AppendJSON(compact), '}')
 	return AppendIndented(nil, compact)
-}
-
-// WriteJSON serializes the element as indented JSON, wrapped in a
-// single-key object naming the element — the JSON analogue of WriteXML.
-func (e *Element) WriteJSON(w io.Writer) error {
-	_, err := w.Write(append(e.jsonDocument(), '\n'))
-	return err
 }
 
 // JSONString returns the serialized JSON document.

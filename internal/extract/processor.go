@@ -3,7 +3,6 @@ package extract
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dom"
@@ -50,26 +49,16 @@ func (f Failure) String() string {
 	return fmt.Sprintf("%s: component %q: %s (%s)", f.PageURI, f.Component, f.Kind, f.Detail)
 }
 
-// Postprocessor transforms an extracted raw value into its clean form —
-// the paper notes the "min" suffix of "108 min" would need removing and
-// suggests finer intra-text-node selection as future work (§7). The
-// processor always normalizes whitespace first.
-type Postprocessor func(string) string
-
 // Processor applies a repository's rules to pages and assembles the XML
 // document.
 //
-// A Processor follows a freeze-after-construction discipline: configure
-// post-processors with SetPost, then extract. The first extraction (or an
-// explicit Freeze call) freezes the configuration, after which ExtractPage
-// and ExtractCluster are safe to call from any number of goroutines —
-// compiled rules and the post-processor table are read-only from then on.
+// A Processor is immutable after NewProcessor: its compiled rules are
+// read-only shared state, so ExtractPage and ExtractCluster are safe to
+// call from any number of goroutines. Values are cleaned only by the
+// refinement recorded with each rule (§7), which travels with the
+// repository.
 type Processor struct {
 	Repo *rule.Repository
-
-	mu     sync.Mutex
-	frozen atomic.Bool
-	post   map[string]Postprocessor
 
 	compiled map[string]*rule.Compiled
 
@@ -111,7 +100,7 @@ func NewProcessor(repo *rule.Repository) (*Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Processor{Repo: repo, post: map[string]Postprocessor{}, compiled: compiled}
+	p := &Processor{Repo: repo, compiled: compiled}
 	ordered := make([]*rule.Compiled, len(repo.Rules))
 	for i, r := range repo.Rules {
 		ordered[i] = compiled[r.Name]
@@ -122,41 +111,6 @@ func NewProcessor(repo *rule.Repository) (*Processor, error) {
 		p.scratch.New = func() any { return prog.NewScratch() }
 	}
 	return p, nil
-}
-
-// SetPost registers (or clears, with a nil fn) the post-processor for a
-// component. It fails once the processor is frozen — configuration must
-// finish before the first extraction.
-func (p *Processor) SetPost(component string, fn Postprocessor) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frozen.Load() {
-		return fmt.Errorf("extract: processor already frozen; SetPost(%q) rejected", component)
-	}
-	if fn == nil {
-		delete(p.post, component)
-	} else {
-		p.post[component] = fn
-	}
-	return nil
-}
-
-// Freeze ends the configuration phase. It is idempotent, called implicitly
-// by the first extraction, and returns the processor for chaining. After
-// Freeze, concurrent extractions are safe: every SetPost write
-// happens-before the freeze under the same mutex, so the post table and
-// compiled rules are immutable shared state.
-func (p *Processor) Freeze() *Processor {
-	// Fast path: already frozen — an atomic load keeps the per-page cost
-	// of the implicit Freeze in ExtractPage off the mutex, so concurrent
-	// extractions don't bounce a lock cache line.
-	if p.frozen.Load() {
-		return p
-	}
-	p.mu.Lock()
-	p.frozen.Store(true)
-	p.mu.Unlock()
-	return p
 }
 
 // ExtractPage extracts every component of one page into a page element.
@@ -181,7 +135,6 @@ func (p *Processor) ExtractPageValues(page *core.Page) (*Element, map[string][]s
 // the token stream — results are byte-identical to the DOM path (values,
 // failures, aggregate XML), a guarantee the differential fuzz test pins.
 func (p *Processor) ExtractPageValuesInfo(page *core.Page) (*Element, map[string][]string, []Failure, StreamInfo) {
-	p.Freeze()
 	var info StreamInfo
 	src, lazy := page.Source()
 	switch {
@@ -264,7 +217,7 @@ func (p *Processor) assembleStream(uri string, sc *streamx.Scratch) (*Element, m
 			failures = append(failures, p.multipleFailure(uri, r.Name, n))
 			maxVals, want = 1, 1
 		}
-		if !c.HasRefinement() && p.post[r.Name] == nil {
+		if !c.HasRefinement() {
 			// Unrefined rule: each capture is exactly one value, so the
 			// slice is sized up front and the only string materialized per
 			// value is the normalized one, straight out of the scratch
@@ -277,7 +230,7 @@ func (p *Processor) assembleStream(uri string, sc *streamx.Scratch) (*Element, m
 			continue
 		}
 		sc.RuleValues(i, maxVals, func(raw []byte) {
-			values[r.Name] = append(values[r.Name], p.refinedValues(c, textutil.NormalizeSpaceBytes(raw))...)
+			values[r.Name] = append(values[r.Name], c.RefineValue(textutil.NormalizeSpaceBytes(raw))...)
 		})
 	}
 	return p.assemble(uri, values), values, failures
@@ -342,28 +295,9 @@ func buildStructured(parent *Element, sn rule.StructureNode, values map[string][
 
 // values renders one component value node as its extracted string(s):
 // whitespace normalization, then the rule's intra-node refinement (§7
-// regex/split extension), then any registered post-processor.
+// regex/split extension).
 func (p *Processor) values(c *rule.Compiled, n *dom.Node) []string {
-	return p.valuesFromRaw(c, xpath.NodeStringValue(n))
-}
-
-// valuesFromRaw is values for an already-rendered node string value (the
-// streaming path captures exactly xpath.NodeStringValue's rendering: text
-// node data, or the concatenated subtree text of an element).
-func (p *Processor) valuesFromRaw(c *rule.Compiled, raw string) []string {
-	return p.refinedValues(c, textutil.NormalizeSpace(raw))
-}
-
-// refinedValues applies the rule's intra-node refinement and any
-// registered post-processor to an already-normalized node string value.
-func (p *Processor) refinedValues(c *rule.Compiled, norm string) []string {
-	vals := c.RefineValue(norm)
-	if post := p.post[c.Name]; post != nil {
-		for i := range vals {
-			vals[i] = post(vals[i])
-		}
-	}
-	return vals
+	return c.RefineValue(textutil.NormalizeSpace(xpath.NodeStringValue(n)))
 }
 
 // ExtractCluster extracts every page into the three-level (or enhanced)

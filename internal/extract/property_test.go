@@ -96,19 +96,3 @@ func TestPropertyXMLWellFormed(t *testing.T) {
 		checkAttrs(root)
 	}
 }
-
-func TestSortChildrenDeterminism(t *testing.T) {
-	e := NewElement("root")
-	for _, n := range []string{"b", "a", "c", "a"} {
-		c := e.Add(NewElement(n))
-		c.Text = n + "-text"
-	}
-	e.SortChildren()
-	got := make([]string, len(e.Children))
-	for i, c := range e.Children {
-		got[i] = c.Name
-	}
-	if strings.Join(got, "") != "aabc" {
-		t.Errorf("sorted = %v", got)
-	}
-}

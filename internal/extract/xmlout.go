@@ -14,7 +14,6 @@ package extract
 import (
 	"bytes"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -141,15 +140,4 @@ func (e *Element) appendXML(b *bytes.Buffer, depth int) {
 		b.WriteString(e.Name)
 		b.WriteString(">\n")
 	}
-}
-
-// SortChildren orders direct children by name then text — used only by
-// tests that compare documents structurally.
-func (e *Element) SortChildren() {
-	sort.SliceStable(e.Children, func(i, j int) bool {
-		if e.Children[i].Name != e.Children[j].Name {
-			return e.Children[i].Name < e.Children[j].Name
-		}
-		return e.Children[i].Text < e.Children[j].Text
-	})
 }

@@ -28,11 +28,6 @@ type Config struct {
 	MaxBytes int64
 	// MaxBuckets bounds concurrently tracked page clusters (default 32).
 	MaxBuckets int
-	// BucketThreshold is the minimum signature match for a page to join
-	// an existing bucket (default 0.65, the page-clustering threshold —
-	// unrouted pages scored below the *routing* threshold against every
-	// repository, but among themselves cluster members match high).
-	BucketThreshold float64
 	// SampleSize caps the working sample handed to the rule builder
 	// (default 10, the paper's §3.1 practice).
 	SampleSize int
@@ -43,11 +38,6 @@ type Config struct {
 	// Workers sizes the job runner pool (default 1 — induction is
 	// background work and must not starve the extraction pool).
 	Workers int
-	// MaxIterations bounds the per-component refine loop (0: the
-	// builder's default).
-	MaxIterations int
-	// Weights for signature matching (zero value: cluster defaults).
-	Weights cluster.Weights
 	// Logger receives job state-transition events (queued, running,
 	// staged, promoted, failed, cancelled). Nil discards them.
 	Logger *slog.Logger
@@ -55,6 +45,12 @@ type Config struct {
 	// (the job itself fails with the panic recorded as its error).
 	OnPanic func(pe *resilient.PanicError)
 }
+
+// bucketing is how unrouted pages join buckets: the page-clustering
+// threshold (0.65) and weights. Unrouted pages scored below the
+// *routing* threshold against every repository, but among themselves
+// cluster members match high.
+var bucketing = cluster.DefaultConfig()
 
 func (c Config) withDefaults() Config {
 	if c.MinPages <= 0 {
@@ -69,9 +65,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBuckets <= 0 {
 		c.MaxBuckets = 32
 	}
-	if c.BucketThreshold <= 0 {
-		c.BucketThreshold = 0.65
-	}
 	if c.SampleSize <= 0 {
 		c.SampleSize = 10
 	}
@@ -80,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Weights == (cluster.Weights{}) {
-		c.Weights = cluster.DefaultWeights()
 	}
 	return c
 }
@@ -201,10 +191,10 @@ func (b *UnroutedBuffer) addMarkup(uri, html string, f cluster.Features, trace s
 	}
 
 	var best *bucket
-	bestScore := b.cfg.BucketThreshold
+	bestScore := bucketing.Threshold
 	for _, id := range b.order {
 		bk := b.buckets[id]
-		if score := bk.sig.Match(f, b.cfg.Weights); score >= bestScore {
+		if score := bk.sig.Match(f, bucketing.Weights); score >= bestScore {
 			best, bestScore = bk, score
 		}
 	}

@@ -453,9 +453,8 @@ func (e *Engine) runJob(id string) {
 	e.mu.Unlock()
 
 	builder := &core.Builder{
-		Sample:        sample,
-		Oracle:        core.ValueOracle(e.lookupValues),
-		MaxIterations: e.cfg.MaxIterations,
+		Sample: sample,
+		Oracle: core.ValueOracle(e.lookupValues),
 	}
 	repo := rule.NewRepository(name)
 	recorded := 0

@@ -164,13 +164,11 @@ func (m *Monitor) Repair(current *rule.Repository, curProc *extract.Processor) (
 		if err != nil {
 			return nil, report, err
 		}
-		curProc.Freeze()
 	}
 	candProc, err := extract.NewProcessor(candidate)
 	if err != nil {
 		return nil, report, err
 	}
-	candProc.Freeze()
 	for _, s := range samples {
 		if _, fails := curProc.ExtractPage(s.Page); len(fails) > 0 {
 			report.FailingBefore++

@@ -13,8 +13,8 @@ import (
 	"repro/internal/resilient"
 )
 
-// Recrawl outcomes, recorded per firing and exported as
-// recrawl_total{outcome}.
+// Recrawl outcomes, reported per firing through Config.OnOutcome and
+// exported as recrawl_total{outcome}.
 const (
 	OutcomeClean    = "clean"    // recrawl succeeded, no repair needed
 	OutcomeRepaired = "repaired" // recrawl tripped the repair path and promoted
@@ -26,12 +26,13 @@ const (
 	DefaultMinInterval = time.Minute
 	DefaultMaxInterval = 7 * 24 * time.Hour
 	DefaultBudget      = 2
-	DefaultPerHost     = 1
 	DefaultJitterFrac  = 0.1
-	defaultHistoryCap  = 256
 	defaultIdlePoll    = time.Minute
 	defaultMinRunDelay = 10 * time.Millisecond
 )
+
+// perHost caps concurrent recrawls per origin host.
+const perHost = 1
 
 // RecrawlResult is what a RecrawlFunc reports back: the extracted
 // records keyed by page URI, and whether this pass went through the
@@ -53,19 +54,20 @@ type RecrawlFunc func(ctx context.Context, sc ScheduleState) (*RecrawlResult, er
 // Config configures a Scheduler. Zero values take the documented
 // defaults.
 type Config struct {
-	MinInterval  time.Duration // alarm snap-back floor (default 1m)
-	MaxInterval  time.Duration // stable-site decay ceiling (default 7d)
-	Budget       int           // max concurrent recrawls per tick (default 2)
-	PerHost      int           // max concurrent recrawls per origin host (default 1)
-	JitterFrac   float64       // jitter as a fraction of the interval (default 0.1)
-	FeedCapacity int           // retained change events (default 1024)
+	MinInterval time.Duration // alarm snap-back floor (default 1m)
+	MaxInterval time.Duration // stable-site decay ceiling (default 7d)
+	Budget      int           // max concurrent recrawls per tick (default 2)
+	// JitterFrac is the firing jitter as a fraction of the interval
+	// (0 = DefaultJitterFrac; negative = no jitter). For exact fire
+	// times, inject a Rand that returns 0.
+	JitterFrac float64
 
 	Clock resilient.Clock // time source; nil = wall clock
 	Rand  func() float64  // jitter source in [0,1); nil = math/rand
 	Log   *slog.Logger    // nil = slog.Default
 
 	Recrawl   RecrawlFunc          // required to Tick; supplied by the service
-	OnOutcome func(outcome string) // optional metrics hook, called per firing
+	OnOutcome func(outcome string) // metrics hook, called per firing; nil = none
 }
 
 // ScheduleState is the complete durable state of one schedule. It is
@@ -117,17 +119,6 @@ type Journal struct {
 	Recrawl  func(*RecrawlRecord) // firing completed
 }
 
-// Firing is one entry of the in-memory recrawl history ring.
-type Firing struct {
-	Repo     string        `json:"repo"`
-	At       time.Time     `json:"at"`
-	Outcome  string        `json:"outcome"`
-	New      int           `json:"new"`
-	Changed  int           `json:"changed"`
-	Vanished int           `json:"vanished"`
-	Interval time.Duration `json:"interval"` // interval chosen for the next fire
-}
-
 // State is the scheduler's durable form inside a snapshot.
 type State struct {
 	Schedules []ScheduleState `json:"schedules,omitempty"`
@@ -151,11 +142,9 @@ type Scheduler struct {
 	feed  *Feed
 	hosts *resilient.KeyedLimiter
 
-	mu       sync.Mutex
-	entries  map[string]*schedule
-	journal  Journal
-	history  []Firing
-	outcomes map[string]int64
+	mu      sync.Mutex
+	entries map[string]*schedule
+	journal Journal
 
 	// wake interrupts Run's current sleep when a schedule becomes due
 	// earlier than the sleep would end (register, resume, alarm).
@@ -187,11 +176,8 @@ func New(cfg Config) *Scheduler {
 	if cfg.Budget <= 0 {
 		cfg.Budget = DefaultBudget
 	}
-	if cfg.PerHost <= 0 {
-		cfg.PerHost = DefaultPerHost
-	}
-	if cfg.JitterFrac < 0 {
-		cfg.JitterFrac = 0
+	if cfg.JitterFrac == 0 {
+		cfg.JitterFrac = DefaultJitterFrac
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -206,14 +192,13 @@ func New(cfg Config) *Scheduler {
 		logger = slog.Default()
 	}
 	return &Scheduler{
-		cfg:      cfg,
-		clock:    clock,
-		rand:     rnd,
-		log:      logger,
-		feed:     NewFeed(cfg.FeedCapacity),
-		hosts:    resilient.NewKeyedLimiter(cfg.PerHost),
-		entries:  map[string]*schedule{},
-		outcomes: map[string]int64{},
+		cfg:     cfg,
+		clock:   clock,
+		rand:    rnd,
+		log:     logger,
+		feed:    NewFeed(DefaultFeedCapacity),
+		hosts:   resilient.NewKeyedLimiter(perHost),
+		entries: map[string]*schedule{},
 	}
 }
 
@@ -370,27 +355,6 @@ func (s *Scheduler) NextDue() (time.Time, bool) {
 	return best, found
 }
 
-// History returns the recent firings, oldest first.
-func (s *Scheduler) History() []Firing {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Firing, len(s.history))
-	copy(out, s.history)
-	return out
-}
-
-// Outcomes returns cumulative firing counts by outcome for this
-// process.
-func (s *Scheduler) Outcomes() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.outcomes))
-	for k, v := range s.outcomes {
-		out[k] = v
-	}
-	return out
-}
-
 // Tick fires every due, unpaused schedule once and waits for the
 // firings to complete. Concurrency is bounded by the budget (the
 // spawner blocks on the semaphore, so with Budget 1 the due set runs
@@ -513,15 +477,12 @@ func (s *Scheduler) recrawlOne(ctx context.Context, e *schedule) {
 	e.running = false
 	e.state.Recrawls++
 
-	fir := Firing{Repo: e.state.Repo, At: now}
 	var rec *RecrawlRecord
 	if err != nil {
 		e.state.LastOutcome = OutcomeFailed
 		e.state.LastError = err.Error()
 		// Keep the interval: a fetch failure says nothing about drift.
 		e.state.NextFire = now.Add(e.state.Interval + Jitter(e.state.Interval, s.cfg.JitterFrac, s.rand()))
-		fir.Outcome = OutcomeFailed
-		fir.Interval = e.state.Interval
 		rec = &RecrawlRecord{Schedule: e.state.clone(), FeedSeq: s.feed.NextSeq()}
 		s.log.Warn("monitor.recrawl.failed", "repo", e.state.Repo, "err", err)
 	} else {
@@ -562,35 +523,29 @@ func (s *Scheduler) recrawlOne(ctx context.Context, e *schedule) {
 		e.state.Seen = seen
 
 		stamped := s.feed.append(changes)
+		var nNew, nChanged, nVanished int
 		for _, c := range stamped {
 			switch c.Kind {
 			case KindNew:
-				fir.New++
+				nNew++
 			case KindChanged:
-				fir.Changed++
+				nChanged++
 			case KindVanished:
-				fir.Vanished++
+				nVanished++
 			}
 		}
-		fir.Outcome = outcome
-		fir.Interval = e.state.Interval
 		rec = &RecrawlRecord{Schedule: e.state.clone(), Changes: stamped, FeedSeq: s.feed.NextSeq()}
 		s.log.Info("monitor.recrawl",
 			"repo", e.state.Repo, "outcome", outcome,
-			"new", fir.New, "changed", fir.Changed, "vanished", fir.Vanished,
+			"new", nNew, "changed", nChanged, "vanished", nVanished,
 			"drift_rate", e.state.DriftRate, "next_interval", e.state.Interval)
 	}
 
-	s.history = append(s.history, fir)
-	if len(s.history) > defaultHistoryCap {
-		s.history = append([]Firing(nil), s.history[len(s.history)-defaultHistoryCap:]...)
-	}
-	s.outcomes[fir.Outcome]++
 	if s.journal.Recrawl != nil {
 		s.journal.Recrawl(rec)
 	}
 	if s.cfg.OnOutcome != nil {
-		s.cfg.OnOutcome(fir.Outcome)
+		s.cfg.OnOutcome(e.state.LastOutcome)
 	}
 }
 

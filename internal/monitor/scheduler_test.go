@@ -97,6 +97,36 @@ func TestJitterBoundProperty(t *testing.T) {
 	}
 }
 
+// TestSchedulerDefaultJitter pins the zero-value JitterFrac to
+// DefaultJitterFrac: with Rand fixed at 0.5 the next fire lands at the
+// adapted interval plus 5%. A negative JitterFrac turns jitter off.
+func TestSchedulerDefaultJitter(t *testing.T) {
+	for _, tc := range []struct {
+		frac float64
+		pct  time.Duration // jitter, in percent of the interval
+	}{{0, 5}, {-1, 0}} {
+		fake := resilient.NewFakeClock(time.Unix(1700000000, 0).UTC())
+		s := New(Config{
+			JitterFrac: tc.frac,
+			Clock:      fake,
+			Rand:       func() float64 { return 0.5 },
+			Recrawl:    stubRecrawl(recordsOf("u/1", "a")),
+		})
+		if _, err := s.Register("site", "http://site.example/", 4*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		s.Tick(context.Background())
+		st, _ := s.Get("site")
+		if st.Interval != 8*time.Minute {
+			t.Fatalf("frac %v: interval = %v, want 8m", tc.frac, st.Interval)
+		}
+		if want := fake.Now().Add(st.Interval + st.Interval*tc.pct/100); !st.NextFire.Equal(want) {
+			t.Errorf("frac %v: next fire = %v after now, want %v",
+				tc.frac, st.NextFire.Sub(fake.Now()), want.Sub(fake.Now()))
+		}
+	}
+}
+
 // stubRecrawl returns fixed record sets per call, in order; the last
 // set repeats.
 func stubRecrawl(sets ...map[string]Record) RecrawlFunc {
@@ -126,7 +156,6 @@ func newTestScheduler(t *testing.T, fake *resilient.FakeClock, rec RecrawlFunc) 
 		MinInterval: time.Minute,
 		MaxInterval: 8 * time.Minute,
 		Budget:      1,
-		JitterFrac:  0,
 		Clock:       fake,
 		Rand:        func() float64 { return 0 },
 		Recrawl:     rec,
@@ -239,9 +268,16 @@ func TestSchedulerPauseResumeRemove(t *testing.T) {
 func TestSchedulerFailedRecrawlKeepsInterval(t *testing.T) {
 	fake := resilient.NewFakeClock(time.Unix(1700000000, 0).UTC())
 	calls := 0
-	s := newTestScheduler(t, fake, func(ctx context.Context, sc ScheduleState) (*RecrawlResult, error) {
-		calls++
-		return nil, fmt.Errorf("origin down")
+	outcomes := map[string]int{}
+	s := New(Config{
+		MinInterval: time.Minute,
+		Clock:       fake,
+		Rand:        func() float64 { return 0 },
+		Recrawl: func(ctx context.Context, sc ScheduleState) (*RecrawlResult, error) {
+			calls++
+			return nil, fmt.Errorf("origin down")
+		},
+		OnOutcome: func(outcome string) { outcomes[outcome]++ },
 	})
 	if _, err := s.Register("site", "http://site.example/", 3*time.Minute); err != nil {
 		t.Fatal(err)
@@ -257,8 +293,8 @@ func TestSchedulerFailedRecrawlKeepsInterval(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("recrawl calls = %d", calls)
 	}
-	if got := s.Outcomes()[OutcomeFailed]; got != 1 {
-		t.Fatalf("failed outcome count = %d", got)
+	if outcomes[OutcomeFailed] != 1 || len(outcomes) != 1 {
+		t.Fatalf("outcomes = %v, want one failed", outcomes)
 	}
 }
 

@@ -32,8 +32,8 @@ func RouteWith(r *cluster.Router) Classifier {
 }
 
 // StaticExtractor is the CLI-side Extract stage: a fixed table of
-// compiled processors keyed by repository name. Processors are frozen on
-// construction, so concurrent Extract calls are safe.
+// compiled processors keyed by repository name. A Processor is immutable after
+// NewProcessor, so concurrent Extract calls are safe.
 type StaticExtractor map[string]*extract.Processor
 
 // NewStaticExtractor compiles one processor per repository, keyed by the
@@ -45,7 +45,7 @@ func NewStaticExtractor(repos map[string]*rule.Repository) (StaticExtractor, err
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: compiling %q: %w", name, err)
 		}
-		out[name] = proc.Freeze()
+		out[name] = proc
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 // Package resilient supplies the failure-tolerance primitives threaded
 // through extractd's I/O and concurrency boundaries: a Retrier (capped
-// exponential backoff with full jitter, an optional retry Budget, and
-// Retry-After awareness), a per-dependency circuit Breaker
+// exponential backoff with full jitter and Retry-After awareness), a per-dependency circuit Breaker
 // (closed/open/half-open over a sliding failure-rate window, with
 // bounded half-open probe admission), a KeyedLimiter (per-key
 // concurrency caps, e.g. in-flight fetches per origin host), and
@@ -18,7 +17,7 @@
 //
 //   - Everything is deterministic under test. Time flows through an
 //     injectable Clock and jitter through an injectable uniform source,
-//     so backoff schedules, budget refills and breaker transitions are
+//     so backoff schedules and breaker transitions are
 //     exactly reproducible with a FakeClock and a fixed Rand.
 //
 // The webfetch.Fetcher is the package's primary consumer (retry +

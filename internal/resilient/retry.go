@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -60,7 +59,7 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 
 // Retrier re-executes transient failures with capped exponential
 // backoff and full jitter. The zero value is usable: 3 attempts,
-// 100ms base, 5s cap, wall clock, math/rand jitter, no budget.
+// 100ms base, 5s cap, wall clock, math/rand jitter.
 //
 // Policy: only errors marked with Transient/TransientAfter retry —
 // the caller asserts idempotence by marking, the Retrier never guesses.
@@ -77,11 +76,6 @@ type Retrier struct {
 	BaseDelay time.Duration
 	// MaxDelay caps one wait (default 5s).
 	MaxDelay time.Duration
-	// Budget, when non-nil, globally bounds the retry rate: each retry
-	// withdraws one token and a drained budget fails fast instead of
-	// amplifying an outage with retry traffic. Share one Budget across
-	// every Retrier talking to the same dependency pool.
-	Budget *Budget
 	// Clock defaults to the wall clock.
 	Clock Clock
 	// Rand supplies the jitter uniform in [0,1) (default math/rand;
@@ -128,7 +122,7 @@ func (r *Retrier) rand() float64 {
 }
 
 // Do runs fn until it succeeds, fails permanently, exhausts the attempt
-// count or budget, or ctx ends. A nil *Retrier runs fn exactly once.
+// count, or ctx ends. A nil *Retrier runs fn exactly once.
 // The returned error is fn's last error (IsTransient still classifies
 // it — exhaustion does not launder a transient failure into a permanent
 // one).
@@ -144,9 +138,6 @@ func (r *Retrier) Do(ctx context.Context, fn func(ctx context.Context) error) er
 			return err
 		}
 		if ctx.Err() != nil {
-			return err
-		}
-		if r.Budget != nil && !r.Budget.Withdraw() {
 			return err
 		}
 		delay := r.delay(attempt, err)
@@ -179,55 +170,4 @@ func (r *Retrier) delay(attempt int, err error) time.Duration {
 		d = 1
 	}
 	return d
-}
-
-// Budget is a token bucket bounding the global retry rate: every retry
-// withdraws one token, tokens refill at a fixed rate up to a cap. When
-// an outage makes every request fail, the budget drains and callers
-// fail fast instead of multiplying the dead dependency's load by
-// MaxAttempts. Safe for concurrent use.
-type Budget struct {
-	// Clock defaults to the wall clock. Set before first use.
-	Clock Clock
-
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	perSec float64
-	last   time.Time
-	began  bool
-}
-
-// NewBudget creates a budget holding at most maxTokens, refilling at
-// perSec tokens per second. The bucket starts full.
-func NewBudget(maxTokens, perSec float64) *Budget {
-	return &Budget{tokens: maxTokens, max: maxTokens, perSec: perSec}
-}
-
-func (b *Budget) clock() Clock {
-	if b.Clock == nil {
-		return realClock{}
-	}
-	return b.Clock
-}
-
-// Withdraw takes one token, reporting false when the budget is drained
-// (the caller should not retry).
-func (b *Budget) Withdraw() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.clock().Now()
-	if !b.began {
-		b.began, b.last = true, now
-	}
-	b.tokens += now.Sub(b.last).Seconds() * b.perSec
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
 }

@@ -139,41 +139,6 @@ func TestRetrierRetryAfterClampedToMaxDelay(t *testing.T) {
 	}
 }
 
-func TestRetrierBudgetExhaustionFailsFast(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	budget := NewBudget(2, 0.0001) // effectively no refill at fake-clock speeds
-	budget.Clock = clk
-	r := &Retrier{MaxAttempts: 10, Clock: clk, Rand: fixedRand(0.5), Budget: budget}
-	calls := 0
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		return Transient(errors.New("down"))
-	})
-	// 1 initial attempt + 2 budgeted retries.
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3 (budget must cap retries)", calls)
-	}
-	if !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-}
-
-func TestBudgetRefills(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := NewBudget(1, 1) // 1 token/s
-	b.Clock = clk
-	if !b.Withdraw() {
-		t.Fatal("bucket starts full")
-	}
-	if b.Withdraw() {
-		t.Fatal("bucket should be empty")
-	}
-	clk.Advance(time.Second)
-	if !b.Withdraw() {
-		t.Fatal("bucket should have refilled one token")
-	}
-}
-
 func TestRetrierContextCancelStopsRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Retrier{MaxAttempts: 10, BaseDelay: time.Millisecond, Rand: fixedRand(0.5)}

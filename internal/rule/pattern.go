@@ -95,34 +95,3 @@ func (c *compiledRefinement) apply(raw string) []string {
 	}
 	return out
 }
-
-// DerivePattern infers a Pattern from (raw, wanted) example pairs, the
-// way a refinement UI would: if every wanted value is obtained from its
-// raw value by stripping a constant prefix and/or suffix, the derived
-// pattern anchors on those constants. ok is false when no consistent
-// prefix/suffix explanation exists.
-func DerivePattern(examples [][2]string) (string, bool) {
-	if len(examples) == 0 {
-		return "", false
-	}
-	prefix, suffix := "", ""
-	for i, ex := range examples {
-		raw, want := ex[0], ex[1]
-		idx := strings.Index(raw, want)
-		if idx < 0 {
-			return "", false
-		}
-		p, s := raw[:idx], raw[idx+len(want):]
-		if i == 0 {
-			prefix, suffix = p, s
-			continue
-		}
-		if p != prefix || s != suffix {
-			return "", false
-		}
-	}
-	if prefix == "" && suffix == "" {
-		return "", false // nothing to strip
-	}
-	return "^" + regexp.QuoteMeta(prefix) + "(.*?)" + regexp.QuoteMeta(suffix) + "$", true
-}

@@ -1,9 +1,7 @@
 package rule
 
 import (
-	"regexp"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dom"
 )
@@ -121,81 +119,6 @@ func TestRefinementNilPassthrough(t *testing.T) {
 	}
 	if got := c.RefineValue("108 min"); len(got) != 1 || got[0] != "108 min" {
 		t.Errorf("nil refinement must pass through, got %v", got)
-	}
-}
-
-func TestDerivePattern(t *testing.T) {
-	// Constant suffix: "108 min" → "108".
-	p, ok := DerivePattern([][2]string{
-		{"108 min", "108"},
-		{"91 min", "91"},
-		{"104 min", "104"},
-	})
-	if !ok {
-		t.Fatal("DerivePattern failed")
-	}
-	re := regexp.MustCompile(p)
-	if m := re.FindStringSubmatch("84 min"); m == nil || m[1] != "84" {
-		t.Errorf("derived pattern %q does not extract: %v", p, m)
-	}
-	// Constant prefix and suffix.
-	p2, ok := DerivePattern([][2]string{
-		{"Rated 8.2/10", "8.2"},
-		{"Rated 7.5/10", "7.5"},
-	})
-	if !ok {
-		t.Fatal("prefix+suffix derivation failed")
-	}
-	re2 := regexp.MustCompile(p2)
-	if m := re2.FindStringSubmatch("Rated 9.9/10"); m == nil || m[1] != "9.9" {
-		t.Errorf("derived %q, match %v", p2, m)
-	}
-	// Inconsistent examples fail.
-	if _, ok := DerivePattern([][2]string{{"108 min", "108"}, {"91 sec", "91"}}); ok {
-		t.Error("inconsistent suffixes must fail")
-	}
-	// Wanted value not inside raw fails.
-	if _, ok := DerivePattern([][2]string{{"abc", "xyz"}}); ok {
-		t.Error("non-substring must fail")
-	}
-	// Identity (nothing to strip) is not a derivation.
-	if _, ok := DerivePattern([][2]string{{"108", "108"}}); ok {
-		t.Error("identity must not derive a pattern")
-	}
-	if _, ok := DerivePattern(nil); ok {
-		t.Error("no examples must fail")
-	}
-}
-
-// TestDerivePatternProperty: whenever DerivePattern succeeds, the derived
-// pattern re-extracts every training example.
-func TestDerivePatternProperty(t *testing.T) {
-	f := func(prefix, want, suffix string) bool {
-		if want == "" {
-			return true
-		}
-		raw := prefix + want + suffix
-		// The wanted value must be findable at the constructed position;
-		// skip inputs where want also occurs earlier (ambiguous).
-		examples := [][2]string{{raw, want}}
-		p, ok := DerivePattern(examples)
-		if !ok {
-			return true // identity or ambiguity: nothing to verify
-		}
-		re, err := regexp.Compile(p)
-		if err != nil {
-			return false
-		}
-		m := re.FindStringSubmatch(raw)
-		if m == nil || len(m) < 2 {
-			return false
-		}
-		// The extraction must reproduce a value whose surrounding matches
-		// the constant prefix/suffix explanation.
-		return prefix+m[1]+suffix == raw
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

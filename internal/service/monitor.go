@@ -35,13 +35,7 @@ func (s *Server) EnableMonitor(cfg monitor.Config) *monitor.Scheduler {
 	if cfg.Log == nil {
 		cfg.Log = s.logger()
 	}
-	userOutcome := cfg.OnOutcome
-	cfg.OnOutcome = func(outcome string) {
-		s.Metrics.Recrawl(outcome)
-		if userOutcome != nil {
-			userOutcome(outcome)
-		}
-	}
+	cfg.OnOutcome = s.Metrics.Recrawl
 	s.Scheduler = monitor.New(cfg)
 	return s.Scheduler
 }

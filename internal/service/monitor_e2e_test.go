@@ -129,10 +129,14 @@ func TestMonitorSchedulerE2E(t *testing.T) {
 		MinInterval: time.Minute,
 		MaxInterval: 8 * time.Minute,
 		Budget:      1, // strict (NextFire, repo) firing order
-		JitterFrac:  0,
 		Rand:        func() float64 { return 0 },
 		Clock:       fake,
 	})
+	// The recrawl journal (the WAL hook) records every firing in order.
+	var firings []*monitor.RecrawlRecord
+	sched.SetJournal(monitor.Journal{Recrawl: func(rec *monitor.RecrawlRecord) {
+		firings = append(firings, rec)
+	}})
 
 	for _, cl := range clusters {
 		postJSONRepo(t, ts.URL, buildRepoWithSignature(t, cl), "")
@@ -254,13 +258,22 @@ func TestMonitorSchedulerE2E(t *testing.T) {
 		{"books", "clean", 0, 0, 0, 8 * time.Minute},
 		{"stocks", "clean", 0, 2, 1, monitor.AdaptInterval(8*time.Minute, time.Minute, 8*time.Minute, 0.125)},
 	}
-	hist := sched.History()
-	if len(hist) != len(want) {
-		t.Fatalf("history has %d firings, want %d: %+v", len(hist), len(want), hist)
+	if len(firings) != len(want) {
+		t.Fatalf("journal has %d firings, want %d", len(firings), len(want))
 	}
 	for i, w := range want {
-		h := hist[i]
-		got := fir{h.Repo, h.Outcome, h.New, h.Changed, h.Vanished, h.Interval}
+		h := firings[i]
+		got := fir{repo: h.Schedule.Repo, outcome: h.Schedule.LastOutcome, interval: h.Schedule.Interval}
+		for _, c := range h.Changes {
+			switch c.Kind {
+			case monitor.KindNew:
+				got.new++
+			case monitor.KindChanged:
+				got.changed++
+			case monitor.KindVanished:
+				got.vanished++
+			}
+		}
 		if got != w {
 			t.Errorf("firing %d = %+v, want %+v", i, got, w)
 		}
@@ -343,7 +356,7 @@ func TestScheduleAPI(t *testing.T) {
 
 	fake := resilient.NewFakeClock(time.Unix(1700000000, 0).UTC())
 	sched := srv.EnableMonitor(monitor.Config{
-		Clock: fake, JitterFrac: 0, Budget: 1,
+		Clock: fake, Rand: func() float64 { return 0 }, Budget: 1,
 		MinInterval: time.Minute, MaxInterval: 8 * time.Minute,
 		Recrawl: func(ctx context.Context, sc monitor.ScheduleState) (*monitor.RecrawlResult, error) {
 			return &monitor.RecrawlResult{Records: map[string]monitor.Record{}}, nil
@@ -435,7 +448,7 @@ func TestChangesFollowStream(t *testing.T) {
 		}
 	)
 	sched := srv.EnableMonitor(monitor.Config{
-		Clock: fake, JitterFrac: 0, Budget: 1,
+		Clock: fake, Rand: func() float64 { return 0 }, Budget: 1,
 		MinInterval: time.Minute, MaxInterval: 8 * time.Minute,
 		Recrawl: func(ctx context.Context, sc monitor.ScheduleState) (*monitor.RecrawlResult, error) {
 			mu.Lock()

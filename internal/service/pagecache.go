@@ -19,8 +19,7 @@ type PageKey = [sha256.Size]byte
 // the parser entirely.
 //
 // Cached documents are shared between concurrent extractions, which is
-// safe because extraction only reads the tree (the processor freezes
-// before serving traffic). Anything that mutates a document must clone it
+// safe because extraction only reads the tree. Anything that mutates a document must clone it
 // first; nothing in the service layer does.
 type PageCache struct {
 	mu       sync.Mutex

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -39,6 +40,13 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	p := NewPool(workers, 0)
 	defer p.Close()
+	// Tasks hold their worker until `workers` of them run at once, so the
+	// pool is driven to its bound; the deadline turns a pool that never
+	// reaches it into an error instead of a hung test.
+	full := make(chan struct{})
+	var fill sync.Once
+	deadline, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 30; i++ {
@@ -53,7 +61,13 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 						break
 					}
 				}
-				time.Sleep(time.Millisecond)
+				if c == workers {
+					fill.Do(func() { close(full) })
+				}
+				select {
+				case <-full:
+				case <-deadline.Done():
+				}
 				cur.Add(-1)
 			})
 		}()
@@ -61,6 +75,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := peak.Load(); got > workers {
 		t.Fatalf("peak concurrency %d exceeds %d workers", got, workers)
+	}
+	if got := peak.Load(); got < workers {
+		t.Fatalf("peak concurrency %d never reached %d workers", got, workers)
 	}
 }
 
@@ -105,6 +122,53 @@ func TestPoolCloseRejectsAndDrains(t *testing.T) {
 	p.Close() // idempotent
 }
 
+// doneProbe is a context that reports, by closing asked, the first time
+// a submitter reads its Done channel. DoWait reads it only once the
+// admission fast path found every slot taken.
+type doneProbe struct {
+	context.Context
+	asked chan struct{}
+	once  sync.Once
+}
+
+func newDoneProbe(ctx context.Context) *doneProbe {
+	return &doneProbe{Context: ctx, asked: make(chan struct{})}
+}
+
+func (c *doneProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
+}
+
+// admitQueued fills the one free queue slot of a pool whose workers are
+// all busy with a task running fn, and returns once that task is
+// admitted. Two submitters race for the slot; the loser reaches the
+// admission wait, which proves the slot is taken, and is cancelled.
+func admitQueued(t *testing.T, p *Pool, fn func()) {
+	t.Helper()
+	type submitter struct {
+		ctx    *doneProbe
+		cancel context.CancelFunc
+		err    chan error
+	}
+	var subs [2]submitter
+	for i := range subs {
+		ctx, cancel := context.WithCancel(context.Background())
+		subs[i] = submitter{newDoneProbe(ctx), cancel, make(chan error, 1)}
+		go func(s submitter) { s.err <- p.DoWait(s.ctx, -1, fn) }(subs[i])
+	}
+	loser := subs[0]
+	select {
+	case <-subs[0].ctx.asked:
+	case <-subs[1].ctx.asked:
+		loser = subs[1]
+	}
+	loser.cancel()
+	if err := <-loser.err; !errors.Is(err, context.Canceled) {
+		t.Fatalf("losing submitter = %v, want context.Canceled", err)
+	}
+}
+
 // saturatePool occupies every worker and queue slot of a 1-worker,
 // 1-slot pool; the returned release unblocks it.
 func saturatePool(t *testing.T) (*Pool, func()) {
@@ -114,12 +178,8 @@ func saturatePool(t *testing.T) (*Pool, func()) {
 	started := make(chan struct{})
 	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-block }) }()
 	<-started
-	// Fill the single queue slot.
 	queued := make(chan struct{})
-	go func() { _ = p.DoWait(context.Background(), -1, func() { close(queued) }) }()
-	for p.QueueDepth() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	admitQueued(t, p, func() { close(queued) })
 	release := func() { close(block); <-queued; p.Close() }
 	return p, release
 }
@@ -147,9 +207,11 @@ func TestPoolDoWaitShedsAfterDeadline(t *testing.T) {
 
 func TestPoolDoWaitAdmitsWhenSlotFrees(t *testing.T) {
 	p, release := saturatePool(t)
-	go func() { time.Sleep(5 * time.Millisecond); release() }()
+	// Free the pool once this submission is waiting for admission.
+	ctx := newDoneProbe(context.Background())
+	go func() { <-ctx.asked; release() }()
 	ran := make(chan struct{})
-	if err := p.DoWait(context.Background(), time.Second, func() { close(ran) }); err != nil {
+	if err := p.DoWait(ctx, time.Second, func() { close(ran) }); err != nil {
 		t.Fatalf("DoWait = %v, want admission once the pool drained", err)
 	}
 	<-ran
@@ -211,12 +273,14 @@ func TestPoolSlotAccountingUnderMixedLoad(t *testing.T) {
 				}
 				maxWait := []time.Duration{-1, 0, 200 * time.Microsecond}[rng.Intn(3)]
 				boom := rng.Intn(5) == 0
-				hold := time.Duration(rng.Intn(100)) * time.Microsecond
+				hold := rng.Intn(8) // yields while holding the slot
 				err := p.DoWait(ctx, maxWait, func() {
 					ran.Add(1)
 					raise(&peakRunning, running.Add(1))
 					raise(&peakAdmitted, p.InFlight()+int64(p.QueueDepth()))
-					time.Sleep(hold)
+					for range hold {
+						runtime.Gosched()
+					}
 					running.Add(-1)
 					if boom {
 						panic("seeded panic")
@@ -262,10 +326,7 @@ func TestPoolCloseWaitsForAdmittedTasks(t *testing.T) {
 	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-release }) }()
 	<-started
 	var queuedRan atomic.Bool
-	go func() { _ = p.DoWait(context.Background(), -1, func() { queuedRan.Store(true) }) }()
-	for p.QueueDepth() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	admitQueued(t, p, func() { queuedRan.Store(true) })
 
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()

@@ -92,8 +92,8 @@ func (rv *repoVersions) find(version int) *RepoEntry {
 
 // Registry is a concurrency-safe map of named, versioned rule
 // repositories. Load and Stage compile eagerly (via extract.NewProcessor
-// → rule.CompileAll) and freeze the processor, so every entry handed out
-// is safe for concurrent ExtractPage calls and a bad repository is
+// → rule.CompileAll), and a Processor is immutable once built, so every
+// entry handed out is safe for concurrent ExtractPage calls and a bad repository is
 // rejected at publish time, not at request time.
 type Registry struct {
 	mu    sync.RWMutex
@@ -158,7 +158,6 @@ func compileEntry(name string, repo *rule.Repository) (*RepoEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: compiling %q: %w", name, err)
 	}
-	proc.Freeze()
 	return &RepoEntry{Name: name, Repo: repo, Proc: proc, Stats: &VersionStats{}}, nil
 }
 

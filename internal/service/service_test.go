@@ -243,7 +243,7 @@ func TestEndToEndServeFetchExtract(t *testing.T) {
 }
 
 // TestConcurrentExtract hammers /extract from many goroutines while the
-// repository is hot-reloaded, proving the registry + frozen processor
+// repository is hot-reloaded, proving the registry + immutable processor
 // combination is safe under `go test -race`.
 func TestConcurrentExtract(t *testing.T) {
 	cl, repo := buildMoviesRepo(t, 11, 16)

@@ -15,7 +15,7 @@ import (
 // NormalizeSpace collapses every run of Unicode whitespace in s into a
 // single ASCII space and trims leading/trailing whitespace. It mirrors the
 // XPath 1.0 normalize-space() function, which the extraction processor uses
-// to clean component values before post-processing.
+// to clean component values before refinement.
 func NormalizeSpace(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -236,15 +236,6 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// CommonPrefixLen returns the number of leading elements shared by a and b.
-func CommonPrefixLen(a, b []string) int {
-	n := 0
-	for n < len(a) && n < len(b) && a[n] == b[n] {
-		n++
-	}
-	return n
 }
 
 // TruncateRunes shortens s to at most n runes, appending "…" when truncated.

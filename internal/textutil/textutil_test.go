@@ -241,15 +241,6 @@ func TestLevenshteinSymmetricNoLimit(t *testing.T) {
 	}
 }
 
-func TestCommonPrefixLen(t *testing.T) {
-	if CommonPrefixLen([]string{"a", "b", "c"}, []string{"a", "b", "x"}) != 2 {
-		t.Error("common prefix")
-	}
-	if CommonPrefixLen(nil, []string{"a"}) != 0 {
-		t.Error("nil prefix")
-	}
-}
-
 func TestTruncateRunes(t *testing.T) {
 	if TruncateRunes("hello", 10) != "hello" {
 		t.Error("no truncation needed")

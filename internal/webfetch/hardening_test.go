@@ -25,7 +25,7 @@ func TestFetchTimeout(t *testing.T) {
 
 	f := &Fetcher{Timeout: 50 * time.Millisecond}
 	start := time.Now()
-	_, err := f.FetchPage(ts.URL + "/slow")
+	_, err := f.FetchPageContext(context.Background(), ts.URL+"/slow")
 	if err == nil {
 		t.Fatal("hung fetch returned no error")
 	}
@@ -45,7 +45,7 @@ func TestFetchRedirectCap(t *testing.T) {
 	defer ts.Close()
 
 	f := &Fetcher{MaxRedirects: 3}
-	if _, err := f.FetchPage(ts.URL + "/loop"); err == nil {
+	if _, err := f.FetchPageContext(context.Background(), ts.URL+"/loop"); err == nil {
 		t.Fatal("redirect loop returned no error")
 	}
 	if n > 5 {
@@ -64,12 +64,12 @@ func TestFetchBodyCapRejects(t *testing.T) {
 	defer ts.Close()
 
 	f := &Fetcher{MaxBody: 1024}
-	if _, err := f.FetchPage(ts.URL + "/big"); err == nil || !strings.Contains(err.Error(), "exceeds response cap") {
+	if _, err := f.FetchPageContext(context.Background(), ts.URL+"/big"); err == nil || !strings.Contains(err.Error(), "exceeds response cap") {
 		t.Fatalf("oversized body: err = %v, want response-cap rejection", err)
 	}
 	// At the cap exactly it still loads.
 	f = &Fetcher{MaxBody: 1 << 20}
-	if _, err := f.FetchPage(ts.URL + "/big"); err != nil {
+	if _, err := f.FetchPageContext(context.Background(), ts.URL+"/big"); err != nil {
 		t.Fatalf("in-cap body rejected: %v", err)
 	}
 }

@@ -31,6 +31,9 @@ import (
 // permanent: a redirect loop does not heal on retry.
 var errTooManyRedirects = errors.New("too many redirects")
 
+// hostConcurrency caps in-flight requests per origin host.
+const hostConcurrency = 8
+
 // Fetcher crawls a site breadth-first, restricted to the start URL's
 // host. Every request is bounded three ways — per-request timeout,
 // redirect cap, response-size cap — so a hostile or broken site can stall
@@ -40,11 +43,6 @@ var errTooManyRedirects = errors.New("too many redirects")
 // circuit breaker stops hammering dead origins, and a per-host
 // concurrency cap keeps one slow site from absorbing every worker.
 type Fetcher struct {
-	// Client defaults to an internal client with Timeout and the
-	// MaxRedirects cap applied. A caller-supplied client keeps its own
-	// redirect policy; the per-request timeout still applies via request
-	// context.
-	Client *http.Client
 	// MaxPages bounds the crawl (default 200).
 	MaxPages int
 	// MaxBody bounds each response body in bytes (default 4 MiB).
@@ -68,9 +66,6 @@ type Fetcher struct {
 	// set with resilient.BreakerConfig defaults). Share one set across
 	// fetchers talking to the same origins.
 	Breakers *resilient.BreakerSet
-	// HostConcurrency caps in-flight requests per origin host
-	// (default 8).
-	HostConcurrency int
 	// OnRetry, when non-nil, observes every scheduled retry.
 	OnRetry func(host string)
 	// OnOutcome, when non-nil, observes every finished fetch with one
@@ -79,7 +74,7 @@ type Fetcher struct {
 	OnOutcome func(host, outcome string)
 
 	clientOnce  sync.Once
-	builtClient *http.Client
+	builtClient *http.Client // applies the MaxRedirects cap
 	brOnce      sync.Once
 	builtBrs    *resilient.BreakerSet
 	limOnce     sync.Once
@@ -87,9 +82,6 @@ type Fetcher struct {
 }
 
 func (f *Fetcher) client() *http.Client {
-	if f.Client != nil {
-		return f.Client
-	}
 	f.clientOnce.Do(func() {
 		f.builtClient = &http.Client{
 			CheckRedirect: func(req *http.Request, via []*http.Request) error {
@@ -116,7 +108,7 @@ func (f *Fetcher) breakers() *resilient.BreakerSet {
 
 func (f *Fetcher) limiter() *resilient.KeyedLimiter {
 	f.limOnce.Do(func() {
-		f.builtLim = resilient.NewKeyedLimiter(f.HostConcurrency)
+		f.builtLim = resilient.NewKeyedLimiter(hostConcurrency)
 	})
 	return f.builtLim
 }
@@ -166,13 +158,12 @@ func (f *Fetcher) maxRedirects() int {
 // can stream a site of any size without holding more than one page —
 // this is the pipeline's crawl source.
 type Crawl struct {
-	f        *Fetcher
-	host     string
-	seen     map[string]bool
-	queue    []*url.URL
-	pages    int
-	first    bool
-	pageErrs []*pipeline.PageError
+	f     *Fetcher
+	host  string
+	seen  map[string]bool
+	queue []*url.URL
+	pages int
+	first bool
 }
 
 // Start begins a breadth-first crawl at startURL. Fetching starts on the
@@ -198,9 +189,9 @@ func (f *Fetcher) Start(startURL string) (*Crawl, error) {
 // same-host links found in A/@href attributes. It returns io.EOF when
 // MaxPages pages have been returned or the frontier is empty. A page
 // that still fails after retries is never silently dropped: Next
-// returns a *pipeline.PageError recording the URL (also retained, see
-// PageErrors) and the crawl continues on the following call. An
-// unreachable start page aborts the crawl.
+// returns a *pipeline.PageError recording the URL and the crawl
+// continues on the following call. An unreachable start page aborts the
+// crawl.
 func (c *Crawl) Next(ctx context.Context) (*core.Page, error) {
 	for len(c.queue) > 0 && c.pages < c.f.maxPages() {
 		if err := ctx.Err(); err != nil {
@@ -216,9 +207,7 @@ func (c *Crawl) Next(ctx context.Context) (*core.Page, error) {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			pe := &pipeline.PageError{URI: u.String(), Err: err}
-			c.pageErrs = append(c.pageErrs, pe)
-			return nil, pe
+			return nil, &pipeline.PageError{URI: u.String(), Err: err}
 		}
 		c.first = false
 		c.pages++
@@ -239,14 +228,6 @@ func (c *Crawl) Next(ctx context.Context) (*core.Page, error) {
 		return &core.Page{URI: u.String(), Doc: doc}, nil
 	}
 	return nil, io.EOF
-}
-
-// PageErrors returns the per-page failures recorded so far (pages that
-// still failed after retries and were skipped), in crawl order.
-func (c *Crawl) PageErrors() []*pipeline.PageError {
-	out := make([]*pipeline.PageError, len(c.pageErrs))
-	copy(out, c.pageErrs)
-	return out
 }
 
 // Crawl gathers a whole site into memory: Start + Next until EOF,
@@ -274,15 +255,11 @@ func (f *Fetcher) Crawl(startURL string) ([]*core.Page, error) {
 	}
 }
 
-// FetchPage fetches and parses a single page — the online-extraction
-// entry point: a service that already knows which page it wants skips the
-// crawl and goes straight from URL to parsed core.Page.
-func (f *Fetcher) FetchPage(pageURL string) (*core.Page, error) {
-	return f.FetchPageContext(context.Background(), pageURL)
-}
-
-// FetchPageContext is FetchPage bounded by a caller context (on top of
-// the fetcher's own per-request timeout).
+// FetchPageContext fetches and parses a single page — the
+// online-extraction entry point: a service that already knows which page
+// it wants skips the crawl and goes straight from URL to parsed
+// core.Page. ctx bounds the fetch on top of the fetcher's own
+// per-request timeout.
 func (f *Fetcher) FetchPageContext(ctx context.Context, pageURL string) (*core.Page, error) {
 	u, err := url.Parse(pageURL)
 	if err != nil {
@@ -331,8 +308,8 @@ func (f *Fetcher) fetch(ctx context.Context, u *url.URL) (*dom.Node, error) {
 }
 
 // retrierFor adapts the configured Retrier to report retries for host
-// through the OnRetry hook. The copy is cheap (Retrier is a small value
-// type; the Budget pointer stays shared).
+// through the OnRetry hook. The copy is cheap: Retrier is a small value
+// type.
 func (f *Fetcher) retrierFor(host string) *resilient.Retrier {
 	var r resilient.Retrier
 	if f.Retry != nil {

@@ -92,18 +92,6 @@ func (c *Compiled) SelectLocationFirst(doc *dom.Node) *dom.Node {
 // allocation child-path walker.
 func (c *Compiled) IsFastPath() bool { return c.fast != nil }
 
-// SelectFirst returns the first node of Select, or nil.
-func (c *Compiled) SelectFirst(n *dom.Node) *dom.Node {
-	if c.fast != nil {
-		return c.fast.run(n)
-	}
-	ns := c.Select(n)
-	if len(ns) == 0 {
-		return nil
-	}
-	return ns[0]
-}
-
 // releaseValue returns a node-set value's buffer to the scratch once the
 // consumer has reduced it to a scalar. Every NodeSet produced by eval is
 // scratch-owned, so consumers that do not propagate the set release it.
