@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -125,4 +126,42 @@ type extractorFunc func(ctx context.Context, repo string, p *core.Page) (*extrac
 
 func (f extractorFunc) Extract(ctx context.Context, repo string, p *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
 	return f(ctx, repo, p)
+}
+
+// TestRunQuarantinesSinkPanic: Emit runs on a pipeline worker, so a
+// sink that panics must fail the run with an error and report the panic
+// under the "sink" stage — never crash the process.
+func TestRunQuarantinesSinkPanic(t *testing.T) {
+	var pages []*core.Page
+	for i := 0; i < 32; i++ {
+		pages = append(pages, core.NewPageLazy(fmt.Sprintf("http://s/p%d", i), "<p>x</p>"))
+	}
+	var mu sync.Mutex
+	var stages []string
+	cfg := Config{
+		Workers: 2,
+		OnPanic: func(stage string, pe *resilient.PanicError) {
+			mu.Lock()
+			stages = append(stages, stage)
+			mu.Unlock()
+		},
+	}
+	n := 0
+	sink := FuncSink(func(it *Item) error {
+		if n++; n == 3 {
+			panic("sink exploded")
+		}
+		return nil
+	})
+	_, err := Run(context.Background(), cfg, &sliceSource{pages: pages}, sink)
+	var pe *resilient.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "sink exploded") {
+		t.Fatalf("err = %v, want the run failed with the sink's *resilient.PanicError", err)
+	}
+	if n != 3 {
+		t.Errorf("sink saw %d items, want none after the panic on the 3rd", n)
+	}
+	if len(stages) != 1 || stages[0] != "sink" {
+		t.Fatalf("OnPanic observed %v, want one sink-stage panic", stages)
+	}
 }

@@ -12,6 +12,14 @@
 // set and emitted to a Sink in source order — with backpressure end to
 // end, so a site of any size flows through a fixed memory envelope.
 //
+// There is no emitter goroutine: the worker that finishes the oldest
+// unemitted page emits it together with every finished page behind it,
+// then flushes the sink once for that in-order run (so NDJSON lines
+// leave in one write per run, not one per page, and no finished line
+// waits on an unfinished page). Sink calls thus run on workers, one at a
+// time, and a sink panic is recovered and fails the run like a sink
+// error.
+//
 // Stages are optional: a nil Classifier passes pages through unrouted
 // (fixed-repository extraction), a nil Extractor copies pages straight to
 // the sink (the crawl CLI: gather without extracting).
@@ -119,11 +127,12 @@ type Extractor interface {
 	Extract(ctx context.Context, repo string, p *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error)
 }
 
-// Sink consumes finished items. Emit is called from a single goroutine;
-// an Emit error aborts the run (a broken sink must stop the stream, not
-// silently drop results). Close is called exactly once after the last
-// Emit of a successful run — sinks that assemble an aggregate document
-// write it there.
+// Sink consumes finished items. Emit is called from one goroutine at a
+// time (a pipeline worker); an Emit error aborts the run (a broken sink
+// must stop the stream, not silently drop results). A sink with a
+// Flush() method is flushed after each in-order run of Emit calls.
+// Close is called exactly once after the last Emit of a successful run —
+// sinks that assemble an aggregate document write it there.
 type Sink interface {
 	Emit(it *Item) error
 	Close() error
@@ -133,9 +142,9 @@ type Sink interface {
 type Config struct {
 	// Workers is the classify+extract concurrency (default GOMAXPROCS).
 	Workers int
-	// Buffer is the depth of the inter-stage channels (default 2×
-	// Workers). Together with Workers it caps the pages in flight:
-	// sources are only drained as fast as the slowest downstream stage.
+	// Buffer is how many pages, besides one per worker, may be admitted
+	// and not yet emitted (default 2× Workers): sources are only drained
+	// as fast as the slowest downstream stage.
 	Buffer int
 	// Classifier routes pages to repositories; nil passes pages through
 	// with Repo "".
@@ -152,7 +161,8 @@ type Config struct {
 	// OnPanic, when non-nil, observes every recovered stage panic. The
 	// panicking page's item still fails with a *PageError wrapping a
 	// *resilient.PanicError — a poisoned page must fail itself, never
-	// the run.
+	// the run. A panic in the sink ("sink" stage) fails the run, as a
+	// sink error does.
 	OnPanic func(stage string, pe *resilient.PanicError)
 }
 
@@ -215,27 +225,35 @@ func (s *Stats) observe(it *Item) {
 // failure, sink failure, context cancelled). Sink.Close runs only when
 // the run succeeded — a failed run must not finalize sink artifacts.
 //
-// Backpressure: the source is pulled only while fewer than Buffer items
-// are awaiting emission, and the sink is fed in order — so a slow sink
-// (an HTTP client reading results) throttles the source (a crawl, a
-// request body) through a fixed in-flight window.
+// Backpressure: the source is pulled only while fewer than
+// Buffer+Workers items are awaiting emission, and the sink is fed in
+// order — so a slow sink (an HTTP client reading results) throttles the
+// source (a crawl, a request body) through a fixed in-flight window.
+//
+// Emission: there is no emitter goroutine. The worker that finishes the
+// window's head emits it and every consecutive finished item after it,
+// then calls the sink's Flush method, if it has one, once for that
+// in-order run, and re-checks the window before it lets go of the
+// emitting role. Sink calls therefore run on worker goroutines, one at a
+// time; a panicking Emit or Flush is recovered, reported through
+// OnPanic("sink", …) and fails the run.
 func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type job struct {
-		item *Item
-		done chan struct{}
-	}
-	// work hands jobs to workers; ordered fixes the emission order and —
-	// being the only buffered stage — caps the in-flight window.
-	work := make(chan *job)
-	ordered := make(chan *job, cfg.buffer())
+	// space holds one token per item admitted and not yet emitted. The
+	// window admits Buffer items besides one per worker, so the source
+	// runs at most that far (plus the page it reads ahead) past the sink,
+	// and work, as deep as the window, never blocks it.
+	n := cfg.buffer() + cfg.workers()
+	work := make(chan *Item, n)
+	w := &window{ctx: ctx, cfg: cfg, sink: sink, cancel: cancel,
+		space: make(chan struct{}, n), ring: make([]*Item, n), sinkStats: cfg.Telemetry.Sink()}
+	w.flusher, _ = sink.(interface{ Flush() })
 
 	var srcErr error
 	go func() {
 		defer close(work)
-		defer close(ordered)
 		srcStats := cfg.Telemetry.Source()
 		for seq := 0; ; seq++ {
 			t0 := srcStats.Start()
@@ -261,18 +279,10 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 				cancel()
 				return
 			}
-			j := &job{item: it, done: make(chan struct{})}
-			if it.Err != nil {
-				close(j.done) // input error: skip the worker stage
-			} else {
-				select {
-				case work <- j:
-				case <-ctx.Done():
-					return
-				}
-			}
+			// The page read ahead waits for window space here.
 			select {
-			case ordered <- j:
+			case w.space <- struct{}{}:
+				work <- it
 			case <-ctx.Done():
 				return
 			}
@@ -284,31 +294,13 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range work {
-				process(ctx, cfg, j.item)
-				close(j.done)
+			for it := range work {
+				if it.Err == nil { // an input error skips the worker stage
+					process(ctx, cfg, it)
+				}
+				w.finish(it)
 			}
 		}()
-	}
-
-	// Emitter (this goroutine): strict source order, single-threaded
-	// sink access. Every job in ordered was either handed to a worker
-	// (its done will close) or pre-closed, so this loop always drains.
-	var stats Stats
-	var emitErr error
-	sinkStats := cfg.Telemetry.Sink()
-	for j := range ordered {
-		<-j.done
-		stats.observe(j.item)
-		if emitErr == nil && ctx.Err() == nil {
-			t0 := sinkStats.Start()
-			err := sink.Emit(j.item)
-			sinkStats.Done(t0, err != nil)
-			if err != nil {
-				emitErr = fmt.Errorf("pipeline: sink: %w", err)
-				cancel()
-			}
-		}
 	}
 	wg.Wait()
 
@@ -319,16 +311,93 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 	// that opened files close them regardless of the run's outcome.
 	switch {
 	case srcErr != nil:
-		return stats, fmt.Errorf("pipeline: source: %w", srcErr)
-	case emitErr != nil:
-		return stats, emitErr
+		return w.stats, fmt.Errorf("pipeline: source: %w", srcErr)
+	case w.err != nil:
+		return w.stats, w.err
 	case ctx.Err() != nil:
-		return stats, ctx.Err()
+		return w.stats, ctx.Err()
 	}
 	if err := sink.Close(); err != nil {
-		return stats, fmt.Errorf("pipeline: sink close: %w", err)
+		return w.stats, fmt.Errorf("pipeline: sink close: %w", err)
 	}
-	return stats, nil
+	return w.stats, nil
+}
+
+// window is a run's in-order emission state: a ring of finished items
+// indexed by Seq, and the emitting role that the worker finishing the
+// head takes. The fields after emitting are touched only by the holder
+// of that role.
+type window struct {
+	mu       sync.Mutex
+	ring     []*Item // finished, unemitted items; slot Seq % len(ring)
+	head     int     // Seq of the next item to emit
+	emitting bool
+
+	ctx       context.Context
+	cfg       Config
+	sink      Sink
+	flusher   interface{ Flush() }
+	cancel    context.CancelFunc
+	space     chan struct{}
+	sinkStats *StageStats
+	stats     Stats
+	err       error // the first sink failure
+}
+
+// finish files a processed item into the ring. If it is the head and no
+// worker is emitting, the caller takes the emitting role: it emits every
+// consecutive finished item, flushes once, and lets go of the role only
+// when the head is still unfinished after that flush.
+func (w *window) finish(it *Item) {
+	w.mu.Lock()
+	w.ring[it.Seq%len(w.ring)] = it
+	if w.emitting || it.Seq != w.head {
+		w.mu.Unlock()
+		return
+	}
+	w.emitting = true
+	flushed := false
+	for {
+		next := w.ring[w.head%len(w.ring)]
+		if next != nil {
+			w.ring[w.head%len(w.ring)] = nil
+			w.head++
+		} else if flushed {
+			w.emitting = false
+			w.mu.Unlock()
+			return
+		}
+		w.mu.Unlock()
+		switch {
+		case next != nil:
+			w.emit(next)
+			<-w.space
+		case w.flusher != nil:
+			w.fail(safeFlush(w.cfg, w.flusher))
+		}
+		flushed = next == nil
+		w.mu.Lock()
+	}
+}
+
+// emit counts one item and hands it to the sink, unless the run has
+// already failed or been cancelled.
+func (w *window) emit(it *Item) {
+	w.stats.observe(it)
+	if w.err == nil && w.ctx.Err() == nil {
+		t0 := w.sinkStats.Start()
+		err := safeEmit(w.cfg, w.sink, it)
+		w.sinkStats.Done(t0, err != nil)
+		w.fail(err)
+	}
+}
+
+// fail records the run's first sink failure and cancels the run.
+func (w *window) fail(err error) {
+	if err != nil && w.err == nil {
+		w.err = fmt.Errorf("pipeline: sink: %w", err)
+		w.cancel()
+	}
 }
 
 // process runs classify + extract for one item, in a worker goroutine.
@@ -383,6 +452,20 @@ func safeClassify(cfg Config, p *core.Page) (repo string, score float64, err err
 func safeExtract(ctx context.Context, cfg Config, repo string, p *core.Page) (el *extract.Element, values map[string][]string, fails []extract.Failure, err error) {
 	defer recoverStage(cfg, "extract", &err)
 	return cfg.Extractor.Extract(ctx, repo, p)
+}
+
+// safeEmit quarantines a sink panic into an error. Emit runs on a
+// pipeline worker, where no caller's recover stands behind it.
+func safeEmit(cfg Config, sink Sink, it *Item) (err error) {
+	defer recoverStage(cfg, "sink", &err)
+	return sink.Emit(it)
+}
+
+// safeFlush quarantines a panic in the sink's Flush into an error.
+func safeFlush(cfg Config, f interface{ Flush() }) (err error) {
+	defer recoverStage(cfg, "sink", &err)
+	f.Flush()
+	return nil
 }
 
 // recoverStage converts a stage panic into *err and reports it.

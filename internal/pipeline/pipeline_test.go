@@ -12,11 +12,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dom"
+	"repro/internal/extract"
 	"repro/internal/rule"
 )
 
@@ -475,4 +477,101 @@ func TestNDJSONSourceNoResyncAfterOversize(t *testing.T) {
 	if _, err := src.Next(context.Background()); err != io.EOF {
 		t.Fatalf("Next after oversize = %v, want io.EOF (no resync)", err)
 	}
+}
+
+// lineFlushCounter is a flushing writer that records, at every Flush,
+// how many lines had been written: the lines a client has received.
+type lineFlushCounter struct {
+	mu             sync.Mutex
+	lines, flushes int
+	flushed        int           // lines written before the last Flush
+	reached        chan struct{} // closed once flushed >= want
+	want           int
+}
+
+func (w *lineFlushCounter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lines += strings.Count(string(b), "\n")
+	return len(b), nil
+}
+
+func (w *lineFlushCounter) Flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.flushes++
+	w.flushed = w.lines
+	if w.reached != nil && w.flushed >= w.want {
+		close(w.reached)
+		w.reached = nil
+	}
+}
+
+func seqLine(dst []byte, it *Item) ([]byte, error) {
+	return append(fmt.Appendf(dst, "%d", it.Seq), '\n'), nil
+}
+
+// TestRunFlushesOncePerInOrderRun pins Run's flush policy over an
+// NDJSONSink: one Flush per in-order run of emitted lines, never one
+// that makes a finished line wait for an unfinished item.
+func TestRunFlushesOncePerInOrderRun(t *testing.T) {
+	page := func(i int) *core.Page { return core.NewPageLazy(fmt.Sprintf("http://x/p%d", i), "<p>x</p>") }
+
+	// Latency neutrality: the source blocks after page k; lines 0…k are
+	// flushed before it unblocks.
+	t.Run("source blocks", func(t *testing.T) {
+		const k = 4
+		w := &lineFlushCounter{reached: make(chan struct{}), want: k + 1}
+		reached := w.reached
+		i := 0
+		source := sourceFunc(func(ctx context.Context) (*core.Page, error) {
+			if i == k+1 {
+				select {
+				case <-reached:
+				case <-time.After(10 * time.Second):
+					t.Errorf("lines 0…%d not flushed while the source blocked", k)
+				}
+				return nil, io.EOF
+			}
+			i++
+			return page(i - 1), nil
+		})
+		if _, err := Run(context.Background(), Config{Workers: 2, Buffer: 8}, source, NewNDJSONSink(w, seqLine)); err != nil {
+			t.Fatal(err)
+		}
+		if w.lines != k+1 || w.flushed != k+1 {
+			t.Fatalf("%d lines, %d flushed; want %d flushed", w.lines, w.flushed, k+1)
+		}
+	})
+
+	// Coalescing: with the source always ready and the head held back
+	// until the last page is being extracted, the lines finished behind
+	// the head leave with it in one run — fewer flushes than lines.
+	t.Run("coalesces", func(t *testing.T) {
+		const pages = 6
+		lastStarted := make(chan struct{})
+		var pp []*core.Page
+		for i := 0; i < pages; i++ {
+			pp = append(pp, page(i))
+		}
+		w := &lineFlushCounter{}
+		_, err := Run(context.Background(), Config{
+			Workers: 2, Buffer: 8,
+			Extractor: extractorFunc(func(ctx context.Context, repo string, p *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
+				switch p {
+				case pp[0]:
+					<-lastStarted
+				case pp[pages-1]:
+					close(lastStarted)
+				}
+				return &extract.Element{}, nil, nil, nil
+			}),
+		}, NewPageSource(pp), NewNDJSONSink(w, seqLine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.lines != pages || w.flushed != pages || w.flushes >= pages {
+			t.Fatalf("%d lines, %d flushed, %d flushes; want all %d flushed in fewer flushes", w.lines, w.flushed, w.flushes, pages)
+		}
+	})
 }

@@ -107,14 +107,18 @@ func MakeResultLine(it *Item) ResultLine {
 
 // NDJSONSink is the one NDJSON line writer, behind POST /ingest, POST
 // /extract/batch, crawl -ndjson and extract -format ndjson. Its appender
-// renders each item into a reused buffer; the sink writes the line with
-// one Write and flushes it when the writer can. An item the appender
-// appended nothing for is skipped.
+// renders each item into a reused buffer and Emit writes the line with
+// one Write; an item the appender appended nothing for is skipped. Emit
+// does not flush: Run calls Flush once per in-order run of emitted items,
+// and Flush passes through to the writer when it can flush and a line
+// went out since the last Flush. A sink wrapped in another (MultiSink)
+// is not flushed.
 type NDJSONSink struct {
-	w     io.Writer
-	line  func(dst []byte, it *Item) ([]byte, error)
-	buf   []byte
-	wrote bool
+	w       io.Writer
+	line    func(dst []byte, it *Item) ([]byte, error)
+	buf     []byte
+	wrote   bool
+	pending bool // a line was written since the last Flush
 }
 
 // NewNDJSONSink writes the lines line appends to w — AppendResultLine,
@@ -129,19 +133,25 @@ func (s *NDJSONSink) Emit(it *Item) error {
 	if err != nil || len(buf) == 0 {
 		return err
 	}
-	s.wrote = true
+	s.wrote, s.pending = true, true
 	_, err = s.w.Write(buf)
 	if cap(buf) > maxRetainedScratch {
 		buf = nil
 	}
 	s.buf = buf
-	if err != nil {
-		return err
+	return err
+}
+
+// Flush flushes the lines written since the last Flush, when the writer
+// has a Flush method (an http.ResponseWriter does).
+func (s *NDJSONSink) Flush() {
+	if !s.pending {
+		return
 	}
+	s.pending = false
 	if f, ok := s.w.(interface{ Flush() }); ok {
 		f.Flush()
 	}
-	return nil
 }
 
 // Wrote reports whether a line went out (and with it a response status).

@@ -33,6 +33,13 @@ type ingestSummary struct {
 // a client can pipe an arbitrarily large crawl through without either
 // side buffering the site, and a slow reader throttles the uploader.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	s.ingest(w, r, pipeline.AppendResultLine)
+}
+
+// ingest serves one /ingest exchange whose result lines appendLine
+// renders.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request,
+	appendLine func(dst []byte, it *pipeline.Item, trace string) ([]byte, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -68,7 +75,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		return s.streamNDJSON(w, r, classify, r.Body,
 			func(dst []byte, it *pipeline.Item) ([]byte, error) {
-				return pipeline.AppendResultLine(dst, it, trace)
+				return appendLine(dst, it, trace)
 			},
 			func(stats pipeline.Stats, _ bool, runErr error) []byte {
 				// The summary line always closes the stream: a run-level

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -253,6 +254,66 @@ func TestIngestExplicitRepoPinsRouting(t *testing.T) {
 	}
 	if hits := srv.Metrics.Snapshot().RouterHits; hits != 0 {
 		t.Errorf("router consulted %d times despite explicit repo", hits)
+	}
+}
+
+// TestIngestQuarantinesSinkPanic: result lines are written from
+// pipeline workers, outside the handler's recover, so an /ingest whose
+// line appender panics must end with the failure on its summary line —
+// the panic counted under the "sink" stage — and the server must keep
+// serving.
+func TestIngestQuarantinesSinkPanic(t *testing.T) {
+	cl, repo := buildMoviesRepo(t, 73, 16)
+	srv, ts := newTestServer(t)
+	postJSONRepo(t, ts.URL, repo, "movies")
+	var calls atomic.Int64
+	panicky := httptest.NewServer(srv.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ingest(w, r, func(dst []byte, it *pipeline.Item, trace string) ([]byte, error) {
+			if calls.Add(1) == 2 {
+				panic("appender exploded")
+			}
+			return pipeline.AppendResultLine(dst, it, trace)
+		})
+	})))
+	defer panicky.Close()
+
+	var in strings.Builder
+	enc := json.NewEncoder(&in)
+	for _, p := range cl.Pages[:4] {
+		enc.Encode(pipeline.PageLine{URI: p.URI, HTML: dom.Render(p.Doc)})
+	}
+	ingest := func(base string) []string {
+		t.Helper()
+		resp, err := http.Post(base+"/ingest?repo=movies", "application/x-ndjson", strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	}
+
+	lines := ingest(panicky.URL)
+	var sum ingestSummary
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Done {
+		t.Fatalf("last line %q is no summary (%v)", lines[len(lines)-1], err)
+	}
+	if !strings.Contains(sum.Error, "pipeline: sink") || !strings.Contains(sum.Error, "appender exploded") {
+		t.Errorf("summary error = %q, want the sink panic", sum.Error)
+	}
+	if len(lines) != 2 {
+		t.Errorf("%d lines, want the first result and the summary", len(lines))
+	}
+	if n := srv.Metrics.Snapshot().PanicsRecovered["sink"]; n != 1 {
+		t.Errorf("panics recovered at the sink = %d, want 1", n)
+	}
+
+	lines, sum = ingest(ts.URL), ingestSummary{}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || sum.Extracted != 4 || sum.Error != "" {
+		t.Fatalf("ingest after the panic: summary %q (%v), want 4 extracted", lines[len(lines)-1], err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -233,14 +234,22 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
+		// Each batch of events goes out as one Write and one flush.
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
 		feed := s.Scheduler.Feed()
 		for {
+			buf.Reset()
 			for _, ev := range feed.Since(since) {
 				if err := enc.Encode(ev); err != nil {
-					return nil // client went away mid-stream
+					return nil // an event json refuses ends the stream
 				}
 				since = ev.Seq
+			}
+			if buf.Len() > 0 {
+				if _, err := w.Write(buf.Bytes()); err != nil {
+					return nil // client went away mid-stream
+				}
 			}
 			if flusher != nil {
 				flusher.Flush()

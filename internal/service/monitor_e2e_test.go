@@ -500,3 +500,63 @@ func TestChangesFollowStream(t *testing.T) {
 		t.Fatalf("second event = %+v", ev)
 	}
 }
+
+// writeCounter is a flushing ResponseWriter that counts Write and Flush
+// calls.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes, flushes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+func (w *writeCounter) Flush() {
+	w.flushes++
+	w.ResponseRecorder.Flush()
+}
+
+// TestChangesBatchWrite: /changes sends a batch of events as one Write
+// and one flush, in the bytes json.Encoder writes for them.
+func TestChangesBatchWrite(t *testing.T) {
+	srv := NewServer(1, 0, nil)
+	defer srv.Close()
+	recs := map[string]monitor.Record{}
+	for _, p := range []string{"a", "b", "c"} {
+		recs["http://site.invalid/"+p] = monitor.Record{Fingerprint: "f" + p,
+			Values: map[string][]string{"x": {"<" + p + ">", "&"}}}
+	}
+	sched := srv.EnableMonitor(monitor.Config{
+		Clock: resilient.NewFakeClock(time.Unix(1700000000, 0).UTC()), Rand: func() float64 { return 0 }, Budget: 1,
+		MinInterval: time.Minute, MaxInterval: 8 * time.Minute,
+		Recrawl: func(ctx context.Context, sc monitor.ScheduleState) (*monitor.RecrawlResult, error) {
+			return &monitor.RecrawlResult{Records: recs}, nil
+		},
+	})
+	if _, err := sched.Register("quotes", "http://site.invalid/", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sched.Tick(context.Background())
+	events := sched.Feed().Since(0)
+	if len(events) != 3 {
+		t.Fatalf("%d events, want one per record", len(events))
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/changes", nil))
+	if w.Code != http.StatusOK || w.Body.String() != want.String() {
+		t.Fatalf("GET /changes = %d %q, want json.Encoder's %q", w.Code, w.Body, want.String())
+	}
+	if w.writes != 1 || w.flushes != 1 {
+		t.Errorf("%d writes, %d flushes; want one of each", w.writes, w.flushes)
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/resilient"
 )
 
 // TestFetchTimeout: a page that never finishes its body must not wedge
@@ -141,5 +143,53 @@ func TestCrawlNextCancel(t *testing.T) {
 	cancel()
 	if _, err := c.Next(ctx); err != context.Canceled {
 		t.Fatalf("Next after cancel: %v, want context.Canceled", err)
+	}
+}
+
+// cancelOnSleep is a fake clock whose Sleep cancels the crawl first: the
+// cancel lands during the Delay between requests.
+type cancelOnSleep struct {
+	*resilient.FakeClock
+	cancel context.CancelFunc
+}
+
+func (c cancelOnSleep) Sleep(ctx context.Context, d time.Duration) error {
+	c.cancel()
+	return c.FakeClock.Sleep(ctx, d)
+}
+
+// TestCrawlDelayUsesClockAndContext: the pause between requests is
+// taken on the Retry clock and ends with the crawl's context.
+func TestCrawlDelayUsesClockAndContext(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `<html><body><a href="/a">a</a><a href="/b">b</a></body></html>`)
+	}))
+	defer ts.Close()
+
+	// An hour's delay per page on the fake clock costs no wall time.
+	fake := resilient.NewFakeClock(time.Unix(0, 0))
+	f := &Fetcher{MaxPages: 3, Delay: time.Hour, Retry: &resilient.Retrier{Clock: fake}}
+	pages, err := f.Crawl(ts.URL + "/")
+	if err != nil || len(pages) != 3 {
+		t.Fatalf("crawl = %d pages, %v; want 3", len(pages), err)
+	}
+	if got := fake.Slept(); len(got) != 3 || got[0] != time.Hour {
+		t.Fatalf("slept %v, want three 1h delays on the Retry clock", got)
+	}
+
+	// A crawl cancelled during its delay returns promptly with ctx's error.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f = &Fetcher{Delay: time.Hour, Retry: &resilient.Retrier{Clock: cancelOnSleep{resilient.NewFakeClock(time.Unix(0, 0)), cancel}}}
+	c, err := f.Start(ts.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := c.Next(ctx); err != context.Canceled {
+		t.Fatalf("Next cancelled in its delay = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled Next took %v", d)
 	}
 }

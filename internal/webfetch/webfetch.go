@@ -55,7 +55,8 @@ type Fetcher struct {
 	// MaxRedirects caps redirects per request (default 5; negative
 	// forbids redirects entirely).
 	MaxRedirects int
-	// Delay is an optional pause between requests.
+	// Delay is an optional pause between requests, taken on the Retry
+	// clock and cut short when the crawl's context is done.
 	Delay time.Duration
 
 	// Retry governs re-attempts of transient failures (default: 3
@@ -223,7 +224,9 @@ func (c *Crawl) Next(ctx context.Context) (*core.Page, error) {
 			c.queue = append(c.queue, link)
 		}
 		if c.f.Delay > 0 {
-			time.Sleep(c.f.Delay)
+			if err := c.f.clock().Sleep(ctx, c.f.Delay); err != nil {
+				return nil, err
+			}
 		}
 		return &core.Page{URI: u.String(), Doc: doc}, nil
 	}
@@ -326,6 +329,14 @@ func (f *Fetcher) retrierFor(host string) *resilient.Retrier {
 		}
 	}
 	return &r
+}
+
+// clock is the Retrier's clock, which also times the crawl Delay.
+func (f *Fetcher) clock() resilient.Clock {
+	if f.Retry != nil && f.Retry.Clock != nil {
+		return f.Retry.Clock
+	}
+	return resilient.RealClock()
 }
 
 // recordOutcome classifies a finished fetch for the OnOutcome hook.
