@@ -36,10 +36,7 @@ func blockPool(t *testing.T, p *Pool) (release func()) {
 	go func() { _ = p.DoWait(context.Background(), -1, func() { close(started); <-block }) }()
 	<-started
 	queued := make(chan struct{})
-	go func() { _ = p.DoWait(context.Background(), -1, func() { close(queued) }) }()
-	for p.QueueDepth() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	admitQueued(t, p, func() { close(queued) })
 	return func() { close(block); <-queued }
 }
 

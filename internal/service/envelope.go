@@ -89,11 +89,14 @@ func (b *envelopeBuf) render(uri, repo string, generation int, el *extract.Eleme
 var envelopePool = sync.Pool{New: func() any { return new(envelopeBuf) }}
 
 // writeResult renders one extraction as JSON (default) or, for
-// format "xml", the paper's XML.
-func writeResult(w http.ResponseWriter, format string, e *RepoEntry, uri string, el *extract.Element, fails []extract.Failure) error {
+// format "xml", the paper's XML. A failed write means the client went
+// away mid-response; the status is already out, so there is nothing left
+// to report to it, and the extraction itself succeeded.
+func writeResult(w http.ResponseWriter, format string, e *RepoEntry, uri string, el *extract.Element, fails []extract.Failure) {
 	if format == "xml" {
 		w.Header().Set("Content-Type", "application/xml")
-		return el.WriteXML(w)
+		_ = el.WriteXML(w)
+		return
 	}
 	b := envelopePool.Get().(*envelopeBuf)
 	body := b.render(uri, e.Name, e.Generation, el, fails)
@@ -106,5 +109,4 @@ func writeResult(w http.ResponseWriter, format string, e *RepoEntry, uri string,
 	if cap(b.body) <= 1<<20 {
 		envelopePool.Put(b)
 	}
-	return nil
 }

@@ -36,34 +36,7 @@ import (
 
 // Server is the extractd HTTP service: a repository registry, a pool
 // that bounds extraction concurrency, metrics, and the handlers tying
-// them together.
-//
-// Endpoints:
-//
-//	POST /repos                  load/reload a repository (JSON body, ?name= override)
-//	GET  /repos                  list loaded repositories
-//	DELETE /repos                unload a repository (?name=)
-//	POST /extract                extract one page: raw HTML body, ?repo= (optional: router) &uri= &format=json|xml
-//	POST /extract/batch          extract many pages: NDJSON {"uri","html"} in, NDJSON out
-//	POST /extract/url            fetch ?url= then extract against ?repo= (optional: router)
-//	POST /ingest                 stream a whole site: NDJSON pages in, NDJSON results out (auto-routed)
-//	POST /induce                 feed operator examples and plan induction jobs over unrouted traffic
-//	GET  /jobs                   list induction jobs (+ unrouted buckets)
-//	GET  /jobs/{id}              one induction job
-//	POST /jobs/{id}/promote      activate a staged induced repository (routes from then on)
-//	POST /jobs/{id}/cancel       stop a queued or running induction job
-//	GET  /repos/{name}/health    drift monitor + version history (+?verdicts=1)
-//	GET  /repos/{name}/versions  retained repository versions + per-version stats
-//	POST /repos/{name}/repair    rebuild broken rules from the sample buffer (?promote=auto|never|force)
-//	POST /repos/{name}/rollback  re-activate the previous version
-//	POST /schedules              register a recrawl: JSON {"repo","url","interval"} (needs EnableMonitor)
-//	GET  /schedules              list recrawl schedules
-//	POST /schedules/{repo}/pause pause a repository's recrawls
-//	POST /schedules/{repo}/resume resume a paused schedule
-//	DELETE /schedules/{repo}     remove a schedule
-//	GET  /changes                change feed as NDJSON: events after ?since=, ?follow=1 tails
-//	GET  /healthz                liveness + registry/pool summary
-//	GET  /metrics                counters, failure breakdown, latency histogram, lifecycle events
+// them together. Its endpoints are the entries of routes.
 type Server struct {
 	Registry *Registry
 	Pool     *Pool
@@ -120,10 +93,9 @@ type Server struct {
 	// tests stay quiet by default.
 	Log *slog.Logger
 	// RequestTimeout, when > 0, bounds every request: handlers run under
-	// a context.WithTimeout-derived deadline. The streaming /ingest
-	// route is exempt (a whole-site ingestion legitimately outlives any
-	// fixed request budget) — there the deadline applies per page, in
-	// the extract stage.
+	// a context.WithTimeout-derived deadline. The streaming routes
+	// (/ingest, /changes) are exempt — there the deadline applies per
+	// page, in the extract stage.
 	RequestTimeout time.Duration
 	// AdmissionWait bounds how long a request waits for a pool slot
 	// before shedding with 503 + Retry-After (default 2s; negative
@@ -265,33 +237,107 @@ func (s *Server) maxBody() int64 {
 	return 8 << 20
 }
 
+// route is one entry of the extractd API.
+type route struct {
+	// pattern is the ServeMux pattern, method included: the mux answers
+	// a request for the path with another method with 405 and Allow.
+	pattern string
+	// name is both the route's extractd_requests_total{endpoint} value
+	// and its pprof "route" label; routes sharing a name share a counter.
+	name   string
+	flags  routeFlags
+	handle func(s *Server, w http.ResponseWriter, r *http.Request) error
+}
+
+type routeFlags uint8
+
+const (
+	// streams exempts a route from RequestTimeout: a whole-site /ingest
+	// or a followed /changes tail legitimately outlives any fixed budget,
+	// so there the deadline applies per extracted page (see extractor).
+	streams routeFlags = 1 << iota
+	// uncounted keeps a route out of the request counters: reading
+	// metrics is not itself traffic.
+	uncounted
+)
+
+// routes declares every extractd endpoint once; Handler registers them
+// in this order.
+var routes = []route{
+	{"GET /repos", "repos.list", 0, (*Server).handleRepoList},
+	{"POST /repos", "repos.load", 0, (*Server).handleRepoLoad},
+	{"DELETE /repos", "repos.delete", 0, (*Server).handleRepoDelete},
+	{"GET /repos/{name}/health", "repos.health", 0, (*Server).handleRepoHealth},
+	{"GET /repos/{name}/versions", "repos.versions", 0, (*Server).handleRepoVersions},
+	{"POST /repos/{name}/repair", "repos.repair", 0, (*Server).handleRepoRepair},
+	{"POST /repos/{name}/rollback", "repos.rollback", 0, (*Server).handleRepoRollback},
+	{"POST /extract", "extract", 0, (*Server).handleExtract},
+	{"POST /extract/batch", "extract.batch", 0, (*Server).handleExtractBatch},
+	{"POST /extract/url", "extract.url", 0, (*Server).handleExtractURL},
+	{"POST /ingest", "ingest", streams, (*Server).handleIngest},
+	{"POST /induce", "induce", 0, (*Server).handleInduce},
+	{"GET /jobs", "jobs.list", 0, (*Server).handleJobs},
+	{"GET /jobs/{id}", "jobs.get", 0, (*Server).handleJob},
+	{"POST /jobs/{id}/promote", "jobs.promote", 0, (*Server).handleJobPromote},
+	{"POST /jobs/{id}/cancel", "jobs.cancel", 0, (*Server).handleJobCancel},
+	{"POST /schedules", "schedules", 0, (*Server).handleScheduleCreate},
+	{"GET /schedules", "schedules", 0, (*Server).handleScheduleList},
+	{"POST /schedules/{repo}/pause", "schedules", 0, (*Server).handleSchedulePause},
+	{"POST /schedules/{repo}/resume", "schedules", 0, (*Server).handleScheduleResume},
+	{"DELETE /schedules/{repo}", "schedules", 0, (*Server).handleScheduleDelete},
+	{"GET /changes", "changes", streams, (*Server).handleChanges},
+	{"GET /healthz", "healthz", 0, (*Server).handleHealthz},
+	{"GET /metrics", "metrics", uncounted, (*Server).handleMetrics},
+}
+
 // Handler returns the routed http.Handler, wrapped in the request
-// observability envelope (trace IDs, request logs, pprof route labels).
-func (s *Server) Handler() http.Handler {
+// observability envelope (trace IDs, request logs, panic isolation).
+func (s *Server) Handler() http.Handler { return s.instrument(s.routeMux(routes)) }
+
+// routeMux registers every entry of table on a fresh mux through serve.
+func (s *Server) routeMux(table []route) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/repos", s.handleRepos)
-	mux.HandleFunc("GET /repos/{name}/health", s.handleRepoHealth)
-	mux.HandleFunc("GET /repos/{name}/versions", s.handleRepoVersions)
-	mux.HandleFunc("POST /repos/{name}/repair", s.handleRepoRepair)
-	mux.HandleFunc("POST /repos/{name}/rollback", s.handleRepoRollback)
-	mux.HandleFunc("/extract", s.handleExtract)
-	mux.HandleFunc("/extract/batch", s.handleExtractBatch)
-	mux.HandleFunc("/extract/url", s.handleExtractURL)
-	mux.HandleFunc("/ingest", s.handleIngest)
-	mux.HandleFunc("POST /induce", s.handleInduce)
-	mux.HandleFunc("GET /jobs", s.handleJobs)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /jobs/{id}/promote", s.handleJobPromote)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleJobCancel)
-	mux.HandleFunc("POST /schedules", s.handleScheduleCreate)
-	mux.HandleFunc("GET /schedules", s.handleScheduleList)
-	mux.HandleFunc("POST /schedules/{repo}/pause", s.handleSchedulePause)
-	mux.HandleFunc("POST /schedules/{repo}/resume", s.handleScheduleResume)
-	mux.HandleFunc("DELETE /schedules/{repo}", s.handleScheduleDelete)
-	mux.HandleFunc("GET /changes", s.handleChanges)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return s.instrument(mux)
+	for _, rt := range table {
+		mux.Handle(rt.pattern, s.serve(rt))
+	}
+	return mux
+}
+
+// serve runs one route's handler under the request deadline (unless the
+// route streams) and its pprof "route" label — extraction runs on this
+// goroutine or on a pipeline worker it started, which inherits the
+// label, so CPU profiles break down by route. The outcome is counted
+// under the route's name, and a returned error is rendered as a JSON
+// {"error"} with the httpError's status (500 for any other error),
+// unless the handler already reported it in-band (streamedError).
+func (s *Server) serve(rt route) http.Handler {
+	labels := pprof.Labels("route", rt.name)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := r.Context()
+		if s.RequestTimeout > 0 && rt.flags&streams == 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.RequestTimeout)
+			defer cancel()
+		}
+		var err error
+		pprof.Do(ctx, labels, func(ctx context.Context) {
+			err = rt.handle(s, w, r.WithContext(ctx))
+		})
+		if rt.flags&uncounted == 0 {
+			s.Metrics.Request(rt.name, err != nil)
+		}
+		if _, streamed := err.(streamedError); err == nil || streamed {
+			return
+		}
+		status := http.StatusInternalServerError
+		if he, ok := err.(*httpError); ok {
+			status = he.status
+			if he.retryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(max(int(he.retryAfter/time.Second), 1)))
+			}
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
+	})
 }
 
 // statusWriter records the response status and byte count for the
@@ -329,62 +375,16 @@ func (w *statusWriter) Flush() {
 // Unwrap exposes the underlying writer to http.ResponseController.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// routeOf maps a request path to a low-cardinality route label for
-// pprof profiles — path parameters (repo names, job ids) must not mint
-// unbounded label values.
-func routeOf(path string) string {
-	switch {
-	case path == "/extract":
-		return "extract"
-	case path == "/extract/batch":
-		return "extract.batch"
-	case path == "/extract/url":
-		return "extract.url"
-	case path == "/ingest":
-		return "ingest"
-	case path == "/induce":
-		return "induce"
-	case path == "/repos":
-		return "repos"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/changes":
-		return "changes"
-	case strings.HasPrefix(path, "/schedules/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/schedules/") {
-			return "schedules." + path[i+1:]
-		}
-		return "schedules"
-	case path == "/schedules":
-		return "schedules"
-	case strings.HasPrefix(path, "/repos/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/repos/") {
-			return "repos." + path[i+1:]
-		}
-		return "repos"
-	case strings.HasPrefix(path, "/jobs/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/jobs/") {
-			return "jobs." + path[i+1:]
-		}
-		return "jobs"
-	case path == "/jobs":
-		return "jobs"
-	}
-	return "other"
-}
-
-// instrument wraps the mux with the per-request observability envelope:
+// instrument wraps the mux with the per-request observability envelope,
+// matched route or not:
 //
 //   - a trace ID is adopted from a well-formed X-Trace-Id request header
 //     or minted fresh, echoed in the X-Trace-Id response header, and
 //     carried on the request context — pipeline stages, NDJSON result
 //     lines, induction captures and every log line under this request
 //     share it;
-//   - the goroutine runs under a pprof "route" label, so CPU profiles
-//     attribute samples to routes (extraction runs on this goroutine or
-//     on a pipeline worker it started, which inherits the label);
+//   - a handler panic is recovered into a 500, so it cannot kill the
+//     daemon;
 //   - one structured request log line is emitted per exchange with
 //     method, route, status, body bytes and duration.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -397,23 +397,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		w.Header().Set("X-Trace-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		ctx := obs.WithTrace(r.Context(), id)
-		// Deadline propagation: every request runs under the server's
-		// request budget, except the streaming routes — a whole-site
-		// /ingest or a followed /changes tail legitimately outlives any
-		// fixed budget, so there the deadline applies per extracted page
-		// instead (see extractor).
-		if s.RequestTimeout > 0 && r.URL.Path != "/ingest" && r.URL.Path != "/changes" {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.RequestTimeout)
-			defer cancel()
-		}
-		// The served request escapes the closure because the mux stamps
-		// the matched pattern onto it — the request log wants that
-		// pattern, not the raw path.
-		var served *http.Request
-		pprof.Do(ctx, pprof.Labels("route", routeOf(r.URL.Path)), func(ctx context.Context) {
-			served = r.WithContext(ctx)
-			// Panic isolation: a handler panic must not kill the daemon.
+		// The mux stamps the matched pattern onto the request it serves —
+		// the request log wants that pattern, not the raw path.
+		served := r.WithContext(ctx)
+		func() {
 			// http.ErrAbortHandler is the stdlib's sanctioned way to abort
 			// a response and must keep propagating.
 			defer func() {
@@ -436,7 +423,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				}
 			}()
 			next.ServeHTTP(sw, served)
-		})
+		}()
 		route := served.Pattern
 		if route == "" {
 			route = r.URL.Path
@@ -546,29 +533,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // streamedError is a run error a streaming handler already reported
-// in-band, after its response started: endpoint counts it but writes
+// in-band, after its response started: serve counts it but writes
 // neither a status nor a body.
 type streamedError struct{ error }
-
-// endpoint wraps a handler with request counting and error rendering.
-func (s *Server) endpoint(name string, w http.ResponseWriter, r *http.Request, fn func() error) {
-	err := fn()
-	s.Metrics.Request(name, err != nil)
-	if _, streamed := err.(streamedError); err != nil && !streamed {
-		status := http.StatusInternalServerError
-		if he, ok := err.(*httpError); ok {
-			status = he.status
-			if he.retryAfter > 0 {
-				secs := int(he.retryAfter / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-			}
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Repository management.
@@ -593,50 +560,43 @@ func info(e *RepoEntry) repoInfo {
 	}
 }
 
-func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.endpoint("repos.list", w, r, func() error {
-			entries := s.Registry.List()
-			infos := make([]repoInfo, 0, len(entries))
-			for _, e := range entries {
-				infos = append(infos, info(e))
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"repos": infos})
-			return nil
-		})
-	case http.MethodPost:
-		s.endpoint("repos.load", w, r, func() error {
-			body, err := s.readBody(r)
-			if err != nil {
-				return err
-			}
-			repo, err := rule.Parse(body)
-			if err != nil {
-				return errf(http.StatusUnprocessableEntity, "%v", err)
-			}
-			e, err := s.loadRepo(r.Context(), r.URL.Query().Get("name"), repo)
-			if err != nil {
-				return errf(http.StatusUnprocessableEntity, "%v", err)
-			}
-			writeJSON(w, http.StatusOK, info(e))
-			return nil
-		})
-	case http.MethodDelete:
-		s.endpoint("repos.delete", w, r, func() error {
-			name := r.URL.Query().Get("name")
-			if name == "" {
-				return errf(http.StatusBadRequest, "name parameter required")
-			}
-			if !s.RemoveRepo(name) {
-				return errf(http.StatusNotFound, "repository %q not loaded", name)
-			}
-			writeJSON(w, http.StatusOK, map[string]string{"removed": name})
-			return nil
-		})
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+func (s *Server) handleRepoList(w http.ResponseWriter, r *http.Request) error {
+	entries := s.Registry.List()
+	infos := make([]repoInfo, 0, len(entries))
+	for _, e := range entries {
+		infos = append(infos, info(e))
 	}
+	writeJSON(w, http.StatusOK, map[string]any{"repos": infos})
+	return nil
+}
+
+func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) error {
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	repo, err := rule.Parse(body)
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "%v", err)
+	}
+	e, err := s.loadRepo(r.Context(), r.URL.Query().Get("name"), repo)
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "%v", err)
+	}
+	writeJSON(w, http.StatusOK, info(e))
+	return nil
+}
+
+func (s *Server) handleRepoDelete(w http.ResponseWriter, r *http.Request) error {
+	name := r.URL.Query().Get("name")
+	if name == "" {
+		return errf(http.StatusBadRequest, "name parameter required")
+	}
+	if !s.RemoveRepo(name) {
+		return errf(http.StatusNotFound, "repository %q not loaded", name)
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -861,33 +821,28 @@ func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() stri
 	return page
 }
 
-func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) error {
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
 	}
-	s.endpoint("extract", w, r, func() error {
-		body, err := s.readBody(r)
-		if err != nil {
-			return err
-		}
-		if len(bytes.TrimSpace(body)) == 0 {
-			return errf(http.StatusBadRequest, "empty HTML body")
-		}
-		q := r.URL.Query()
-		repo := q.Get("repo")
-		page := s.pageFor(q.Get("uri"), body)
-		e, err := s.resolveRepo(r.Context(), repo, page)
-		if err != nil {
-			return err
-		}
-		el, _, fails, err := s.extractEntry(r.Context(), e, page)
-		if err != nil {
-			return err
-		}
-		s.learnRoute(repo != "", e.Name, page, fails)
-		return writeResult(w, q.Get("format"), e, page.URI, el, fails)
-	})
+	if len(bytes.TrimSpace(body)) == 0 {
+		return errf(http.StatusBadRequest, "empty HTML body")
+	}
+	q := r.URL.Query()
+	repo := q.Get("repo")
+	page := s.pageFor(q.Get("uri"), body)
+	e, err := s.resolveRepo(r.Context(), repo, page)
+	if err != nil {
+		return err
+	}
+	el, _, fails, err := s.extractEntry(r.Context(), e, page)
+	if err != nil {
+		return err
+	}
+	s.learnRoute(repo != "", e.Name, page, fails)
+	writeResult(w, q.Get("format"), e, page.URI, el, fails)
+	return nil
 }
 
 // extractor adapts the server to the pipeline's Extract stage: per-page
@@ -930,7 +885,7 @@ func (s *Server) runPipeline(ctx context.Context, classify pipeline.Classifier, 
 // classify and the extractor, and every result goes out as the line line
 // appends. tail renders the closing line, if any, from the stats, whether
 // a result line went out and the run error; an error it carried in-band
-// comes back as a streamedError, one it left out as is, for endpoint.
+// comes back as a streamedError, one it left out as is, for serve.
 func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify pipeline.Classifier, body io.Reader,
 	line func(dst []byte, it *pipeline.Item) ([]byte, error),
 	tail func(stats pipeline.Stats, wrote bool, err error) []byte) error {
@@ -940,7 +895,7 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify p
 	stats, err := s.runPipeline(r.Context(), classify, src, sink)
 	if end := tail(stats, sink.Wrote(), err); len(end) > 0 {
 		// A failed tail write means the client went away; the run's own
-		// outcome is what endpoint counts.
+		// outcome is what serve counts.
 		_, _ = w.Write(end)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -974,85 +929,74 @@ func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error)
 	}), nil
 }
 
-func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) error {
+	classify, err := s.requestClassifier(r)
+	if err != nil {
+		return err
 	}
-	s.endpoint("extract.batch", w, r, func() error {
-		classify, err := s.requestClassifier(r)
-		if err != nil {
-			return err
-		}
-		// Read the whole batch before the first response write — the
-		// documented /extract/batch contract (the body is bounded by
-		// MaxBody, so buffering is safe, and clients need no streaming
-		// upload support). /ingest is the full-duplex streaming variant.
-		body, err := s.readBody(r)
-		if err != nil {
-			return err
-		}
-		if len(bytes.TrimSpace(body)) == 0 {
-			return errf(http.StatusBadRequest, "empty batch")
-		}
-		return s.streamNDJSON(w, r, classify, bytes.NewReader(body),
-			func(dst []byte, it *pipeline.Item) ([]byte, error) {
-				return append(s.appendBatchLine(dst, it), '\n'), nil
-			},
-			func(_ pipeline.Stats, wrote bool, err error) []byte {
-				// Once a line went out, so did the status: the run error
-				// travels as one more NDJSON line instead.
-				if err == nil || !wrote {
-					return nil
-				}
-				return append(appendErrorObject(nil, err.Error()), '\n')
-			})
-	})
+	// Read the whole batch before the first response write — the
+	// documented /extract/batch contract (the body is bounded by
+	// MaxBody, so buffering is safe, and clients need no streaming
+	// upload support). /ingest is the full-duplex streaming variant.
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(body)) == 0 {
+		return errf(http.StatusBadRequest, "empty batch")
+	}
+	return s.streamNDJSON(w, r, classify, bytes.NewReader(body),
+		func(dst []byte, it *pipeline.Item) ([]byte, error) {
+			return append(s.appendBatchLine(dst, it), '\n'), nil
+		},
+		func(_ pipeline.Stats, wrote bool, err error) []byte {
+			// Once a line went out, so did the status: the run error
+			// travels as one more NDJSON line instead.
+			if err == nil || !wrote {
+				return nil
+			}
+			return append(appendErrorObject(nil, err.Error()), '\n')
+		})
 }
 
-func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) error {
+	if s.Fetcher == nil {
+		return errf(http.StatusNotImplemented, "URL fetching disabled")
 	}
-	s.endpoint("extract.url", w, r, func() error {
-		if s.Fetcher == nil {
-			return errf(http.StatusNotImplemented, "URL fetching disabled")
-		}
-		// An explicit repo name is validated before the outbound fetch;
-		// with none given the page is fetched first, then routed.
-		q := r.URL.Query()
-		repo := q.Get("repo")
-		var e *RepoEntry
-		if repo != "" {
-			var err error
-			if e, err = s.lookupRepo(repo); err != nil {
-				return err
-			}
-		}
-		target := q.Get("url")
-		if target == "" {
-			return errf(http.StatusBadRequest, "url parameter required")
-		}
-		if err := s.checkFetchTarget(target); err != nil {
+	// An explicit repo name is validated before the outbound fetch;
+	// with none given the page is fetched first, then routed.
+	q := r.URL.Query()
+	repo := q.Get("repo")
+	var e *RepoEntry
+	if repo != "" {
+		var err error
+		if e, err = s.lookupRepo(repo); err != nil {
 			return err
 		}
-		page, err := s.Fetcher.FetchPageContext(r.Context(), target)
-		if err != nil {
-			return errf(http.StatusBadGateway, "%v", err)
-		}
-		if e == nil {
-			if e, _, err = s.routePage(r.Context(), page); err != nil {
-				return err
-			}
-		}
-		el, _, fails, err := s.extractEntry(r.Context(), e, page)
-		if err != nil {
+	}
+	target := q.Get("url")
+	if target == "" {
+		return errf(http.StatusBadRequest, "url parameter required")
+	}
+	if err := s.checkFetchTarget(target); err != nil {
+		return err
+	}
+	page, err := s.Fetcher.FetchPageContext(r.Context(), target)
+	if err != nil {
+		return errf(http.StatusBadGateway, "%v", err)
+	}
+	if e == nil {
+		if e, _, err = s.routePage(r.Context(), page); err != nil {
 			return err
 		}
-		s.learnRoute(repo != "", e.Name, page, fails)
-		return writeResult(w, q.Get("format"), e, page.URI, el, fails)
-	})
+	}
+	el, _, fails, err := s.extractEntry(r.Context(), e, page)
+	if err != nil {
+		return err
+	}
+	s.learnRoute(repo != "", e.Name, page, fails)
+	writeResult(w, q.Get("format"), e, page.URI, el, fails)
+	return nil
 }
 
 // checkFetchTarget enforces the AllowedHosts allowlist on /extract/url
@@ -1076,14 +1020,12 @@ func (s *Server) checkFetchTarget(target string) error {
 // ---------------------------------------------------------------------------
 // Introspection.
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("healthz", w, r, func() error {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ok",
-			"repos":  s.Registry.Len(),
-		})
-		return nil
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status": "ok",
+		"repos":  s.Registry.Len(),
 	})
+	return nil
 }
 
 // wantsProm reports whether the Accept header asks for the Prometheus
@@ -1095,15 +1037,15 @@ func wantsProm(accept string) bool {
 		strings.Contains(accept, "application/openmetrics-text")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Reading metrics is not itself counted as traffic.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	snap := s.MetricsSnapshot()
 	if wantsProm(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		// A scrape write error means the scraper hung up; there is no
 		// useful recovery beyond abandoning the response.
 		_ = WriteProm(w, snap)
-		return
+		return nil
 	}
 	writeJSON(w, http.StatusOK, snap)
+	return nil
 }

@@ -83,67 +83,61 @@ type induceRequest struct {
 
 // handleInduce serves POST /induce: merge operator examples into the
 // oracle, run the planner, and report the buffer and queue state.
-func (s *Server) handleInduce(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("induce", w, r, func() error {
-		eng, err := s.requireInduct()
-		if err != nil {
-			return err
+func (s *Server) handleInduce(w http.ResponseWriter, r *http.Request) error {
+	eng, err := s.requireInduct()
+	if err != nil {
+		return err
+	}
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	var req induceRequest
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			return errf(http.StatusBadRequest, "decoding body: %v", err)
 		}
-		body, err := s.readBody(r)
-		if err != nil {
-			return err
-		}
-		var req induceRequest
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				return errf(http.StatusBadRequest, "decoding body: %v", err)
-			}
-		}
-		if len(req.Examples) > 0 {
-			eng.AddExamples(req.Examples)
-		}
-		queued := eng.Plan()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"buffered": eng.Buffer().Len(),
-			"buckets":  eng.Buffer().Buckets(),
-			"queued":   queued,
-			"jobs":     eng.Counts(),
-		})
-		return nil
+	}
+	if len(req.Examples) > 0 {
+		eng.AddExamples(req.Examples)
+	}
+	queued := eng.Plan()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"buffered": eng.Buffer().Len(),
+		"buckets":  eng.Buffer().Buckets(),
+		"queued":   queued,
+		"jobs":     eng.Counts(),
 	})
+	return nil
 }
 
 // handleJobs serves GET /jobs: every induction job plus the unrouted
 // buckets still waiting for enough pages or examples.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("jobs.list", w, r, func() error {
-		eng, err := s.requireInduct()
-		if err != nil {
-			return err
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"jobs":    eng.Jobs(),
-			"buckets": eng.Buffer().Buckets(),
-			"counts":  eng.Counts(),
-		})
-		return nil
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) error {
+	eng, err := s.requireInduct()
+	if err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"jobs":    eng.Jobs(),
+		"buckets": eng.Buffer().Buckets(),
+		"counts":  eng.Counts(),
 	})
+	return nil
 }
 
 // handleJob serves GET /jobs/{id}.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("jobs.get", w, r, func() error {
-		eng, err := s.requireInduct()
-		if err != nil {
-			return err
-		}
-		j, ok := eng.Job(r.PathValue("id"))
-		if !ok {
-			return errf(http.StatusNotFound, "no induction job %q", r.PathValue("id"))
-		}
-		writeJSON(w, http.StatusOK, j)
-		return nil
-	})
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) error {
+	eng, err := s.requireInduct()
+	if err != nil {
+		return err
+	}
+	j, ok := eng.Job(r.PathValue("id"))
+	if !ok {
+		return errf(http.StatusNotFound, "no induction job %q", r.PathValue("id"))
+	}
+	writeJSON(w, http.StatusOK, j)
+	return nil
 }
 
 // handleJobPromote serves POST /jobs/{id}/promote: the human half of the
@@ -152,62 +146,58 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // and the job's bucket is released. The engine's Promote claim makes
 // the sequence atomic — a concurrent promote or cancel of the same job
 // fails before any registry or router state changes.
-func (s *Server) handleJobPromote(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("jobs.promote", w, r, func() error {
-		eng, err := s.requireInduct()
+func (s *Server) handleJobPromote(w http.ResponseWriter, r *http.Request) error {
+	eng, err := s.requireInduct()
+	if err != nil {
+		return err
+	}
+	id := r.PathValue("id")
+	if _, ok := eng.Job(id); !ok {
+		return errf(http.StatusNotFound, "no induction job %q", id)
+	}
+	var active *RepoEntry
+	var promoted *induct.Job
+	if promoted, err = eng.Promote(id, func(j *induct.Job) error {
+		e, err := s.Registry.Promote(j.Cluster, j.Version)
 		if err != nil {
 			return err
 		}
-		id := r.PathValue("id")
-		if _, ok := eng.Job(id); !ok {
-			return errf(http.StatusNotFound, "no induction job %q", id)
+		if e.Repo.Signature != nil {
+			s.Router.Register(e.Name, e.Repo.Signature)
 		}
-		var active *RepoEntry
-		var promoted *induct.Job
-		if promoted, err = eng.Promote(id, func(j *induct.Job) error {
-			e, err := s.Registry.Promote(j.Cluster, j.Version)
-			if err != nil {
-				return err
-			}
-			if e.Repo.Signature != nil {
-				s.Router.Register(e.Name, e.Repo.Signature)
-			}
-			s.monitor(e.Name).ResetWindow()
-			active = e
-			return nil
-		}); err != nil {
-			return errf(http.StatusConflict, "%v", err)
-		}
-		s.Metrics.Lifecycle("induct.promoted")
-		// The job's Trace names the ingest exchange that triggered the
-		// induction; the request context carries the promote call's own
-		// trace — both ends of the thread land in one log line.
-		s.logger().LogAttrs(r.Context(), slog.LevelInfo, "induct.promoted",
-			slog.String("job", id), slog.String("repo", active.Name),
-			slog.Int("version", active.Version),
-			slog.String("jobTrace", promoted.Trace))
-		writeJSON(w, http.StatusOK, map[string]any{
-			"job":           id,
-			"repo":          active.Name,
-			"activeVersion": active.Version,
-			"components":    active.Repo.ComponentNames(),
-		})
+		s.monitor(e.Name).ResetWindow()
+		active = e
 		return nil
+	}); err != nil {
+		return errf(http.StatusConflict, "%v", err)
+	}
+	s.Metrics.Lifecycle("induct.promoted")
+	// The job's Trace names the ingest exchange that triggered the
+	// induction; the request context carries the promote call's own
+	// trace — both ends of the thread land in one log line.
+	s.logger().LogAttrs(r.Context(), slog.LevelInfo, "induct.promoted",
+		slog.String("job", id), slog.String("repo", active.Name),
+		slog.Int("version", active.Version),
+		slog.String("jobTrace", promoted.Trace))
+	writeJSON(w, http.StatusOK, map[string]any{
+		"job":           id,
+		"repo":          active.Name,
+		"activeVersion": active.Version,
+		"components":    active.Repo.ComponentNames(),
 	})
+	return nil
 }
 
 // handleJobCancel serves POST /jobs/{id}/cancel.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("jobs.cancel", w, r, func() error {
-		eng, err := s.requireInduct()
-		if err != nil {
-			return err
-		}
-		j, err := eng.Cancel(r.PathValue("id"))
-		if err != nil {
-			return errf(http.StatusConflict, "%v", err)
-		}
-		writeJSON(w, http.StatusOK, j)
-		return nil
-	})
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
+	eng, err := s.requireInduct()
+	if err != nil {
+		return err
+	}
+	j, err := eng.Cancel(r.PathValue("id"))
+	if err != nil {
+		return errf(http.StatusConflict, "%v", err)
+	}
+	writeJSON(w, http.StatusOK, j)
+	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dom"
@@ -185,19 +184,11 @@ func TestInductionClosedLoopE2E(t *testing.T) {
 	}
 	jobID := induceResp.Queued[0].ID
 
-	// The job runs in the background; poll /jobs/{id} until staged.
+	// The job runs in the background: wait for the engine to go idle,
+	// then read the job once.
+	srv.Induct.Wait()
 	var job induct.Job
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		mustGetJSON(t, ts.URL+"/jobs/"+jobID, &job)
-		if job.State == induct.JobStaged || job.State == induct.JobFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", job.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	mustGetJSON(t, ts.URL+"/jobs/"+jobID, &job)
 	if job.State != induct.JobStaged {
 		t.Fatalf("job %s: %s (components %v)", job.State, job.Error, job.Components)
 	}

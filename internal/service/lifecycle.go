@@ -161,97 +161,89 @@ func (s *Server) versionInfos(name string) ([]versionInfo, int, bool) {
 // snapshot, the version history, and — when the repository is drifting
 // or ?verdicts=1 — the per-component §3.4 verdict breakdown over the
 // buffered failing pages.
-func (s *Server) handleRepoHealth(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("repos.health", w, r, func() error {
-		name := r.PathValue("name")
-		e, ok := s.Registry.Get(name)
-		if !ok {
-			return errf(http.StatusNotFound, "repository %q not loaded", name)
+func (s *Server) handleRepoHealth(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
+	e, ok := s.Registry.Get(name)
+	if !ok {
+		return errf(http.StatusNotFound, "repository %q not loaded", name)
+	}
+	mon := s.monitor(name)
+	health := mon.Health()
+	versions, active, _ := s.versionInfos(name)
+	resp := map[string]any{
+		"repo":          name,
+		"activeVersion": active,
+		"versions":      versions,
+		"monitor":       health,
+	}
+	if health.Status == "drifting" || r.URL.Query().Get("verdicts") == "1" {
+		if v := mon.Verdicts(e.Repo); v != nil {
+			resp["verdicts"] = v
 		}
-		mon := s.monitor(name)
-		health := mon.Health()
-		versions, active, _ := s.versionInfos(name)
-		resp := map[string]any{
-			"repo":          name,
-			"activeVersion": active,
-			"versions":      versions,
-			"monitor":       health,
-		}
-		if health.Status == "drifting" || r.URL.Query().Get("verdicts") == "1" {
-			if v := mon.Verdicts(e.Repo); v != nil {
-				resp["verdicts"] = v
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return nil
-	})
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleRepoVersions serves GET /repos/{name}/versions.
-func (s *Server) handleRepoVersions(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("repos.versions", w, r, func() error {
-		name := r.PathValue("name")
-		versions, active, ok := s.versionInfos(name)
-		if !ok {
-			return errf(http.StatusNotFound, "repository %q not loaded", name)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"repo":          name,
-			"activeVersion": active,
-			"versions":      versions,
-		})
-		return nil
+func (s *Server) handleRepoVersions(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
+	versions, active, ok := s.versionInfos(name)
+	if !ok {
+		return errf(http.StatusNotFound, "repository %q not loaded", name)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"repo":          name,
+		"activeVersion": active,
+		"versions":      versions,
 	})
+	return nil
 }
 
 // handleRepoRepair serves POST /repos/{name}/repair. ?promote=auto
 // (default: promote when the shadow evaluation improved), never, force.
-func (s *Server) handleRepoRepair(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("repos.repair", w, r, func() error {
-		name := r.PathValue("name")
-		promote := r.URL.Query().Get("promote")
-		switch promote {
-		case "", "auto", "never", "force":
-		default:
-			return errf(http.StatusBadRequest, "promote must be auto, never or force")
-		}
-		// Check existence before touching the monitor map: lazily
-		// creating monitors for arbitrary unloaded names would let
-		// repeated 404s grow server state without bound.
-		if _, ok := s.Registry.Get(name); !ok {
-			return errf(http.StatusNotFound, "repository %q not loaded", name)
-		}
-		mon := s.monitor(name)
-		if !mon.TryBeginRepair() {
-			return errf(http.StatusConflict, "repair already in progress for %q", name)
-		}
-		defer mon.EndRepair()
-		_, resp, err := s.repairRepo(r.Context(), name, promote)
-		if err != nil {
-			return err
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return nil
-	})
+func (s *Server) handleRepoRepair(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
+	promote := r.URL.Query().Get("promote")
+	switch promote {
+	case "", "auto", "never", "force":
+	default:
+		return errf(http.StatusBadRequest, "promote must be auto, never or force")
+	}
+	// Check existence before touching the monitor map: lazily
+	// creating monitors for arbitrary unloaded names would let
+	// repeated 404s grow server state without bound.
+	if _, ok := s.Registry.Get(name); !ok {
+		return errf(http.StatusNotFound, "repository %q not loaded", name)
+	}
+	mon := s.monitor(name)
+	if !mon.TryBeginRepair() {
+		return errf(http.StatusConflict, "repair already in progress for %q", name)
+	}
+	defer mon.EndRepair()
+	_, resp, err := s.repairRepo(r.Context(), name, promote)
+	if err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleRepoRollback serves POST /repos/{name}/rollback: atomically
 // re-activate the previous retained version (e.g. after a bad promote).
-func (s *Server) handleRepoRollback(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("repos.rollback", w, r, func() error {
-		name := r.PathValue("name")
-		e, err := s.Registry.Rollback(name)
-		if err != nil {
-			return errf(http.StatusConflict, "%v", err)
-		}
-		s.monitor(name).ResetWindow()
-		s.Metrics.Lifecycle("rollback")
-		s.logger().LogAttrs(r.Context(), slog.LevelInfo, "registry.rollback",
-			slog.String("repo", name), slog.Int("activeVersion", e.Version))
-		writeJSON(w, http.StatusOK, map[string]any{
-			"repo":          name,
-			"activeVersion": e.Version,
-		})
-		return nil
+func (s *Server) handleRepoRollback(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
+	e, err := s.Registry.Rollback(name)
+	if err != nil {
+		return errf(http.StatusConflict, "%v", err)
+	}
+	s.monitor(name).ResetWindow()
+	s.Metrics.Lifecycle("rollback")
+	s.logger().LogAttrs(r.Context(), slog.LevelInfo, "registry.rollback",
+		slog.String("repo", name), slog.Int("activeVersion", e.Version))
+	writeJSON(w, http.StatusOK, map[string]any{
+		"repo":          name,
+		"activeVersion": e.Version,
 	})
+	return nil
 }

@@ -131,135 +131,127 @@ type scheduleRequest struct {
 	Interval string `json:"interval,omitempty"`
 }
 
-func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("schedules", w, r, func() error {
-		if s.Scheduler == nil {
-			return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
-		}
-		body, err := s.readBody(r)
+func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) error {
+	if s.Scheduler == nil {
+		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	}
+	body, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	var req scheduleRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return errf(http.StatusBadRequest, "invalid schedule request: %v", err)
+	}
+	if _, ok := s.Registry.Get(req.Repo); !ok {
+		return errf(http.StatusNotFound, "repository %q not loaded", req.Repo)
+	}
+	var interval time.Duration
+	if req.Interval != "" {
+		interval, err = time.ParseDuration(req.Interval)
 		if err != nil {
-			return err
+			return errf(http.StatusBadRequest, "invalid interval %q: %v", req.Interval, err)
 		}
-		var req scheduleRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return errf(http.StatusBadRequest, "invalid schedule request: %v", err)
-		}
-		if _, ok := s.Registry.Get(req.Repo); !ok {
-			return errf(http.StatusNotFound, "repository %q not loaded", req.Repo)
-		}
-		var interval time.Duration
-		if req.Interval != "" {
-			interval, err = time.ParseDuration(req.Interval)
-			if err != nil {
-				return errf(http.StatusBadRequest, "invalid interval %q: %v", req.Interval, err)
-			}
-		}
-		st, err := s.Scheduler.Register(req.Repo, req.URL, interval)
-		if err != nil {
-			return errf(http.StatusBadRequest, "%v", err)
-		}
-		s.logger().LogAttrs(r.Context(), slog.LevelInfo, "schedule.register",
-			slog.String("repo", st.Repo), slog.String("url", st.URL),
-			slog.Duration("interval", st.Interval))
-		writeJSON(w, http.StatusCreated, st)
-		return nil
-	})
+	}
+	st, err := s.Scheduler.Register(req.Repo, req.URL, interval)
+	if err != nil {
+		return errf(http.StatusBadRequest, "%v", err)
+	}
+	s.logger().LogAttrs(r.Context(), slog.LevelInfo, "schedule.register",
+		slog.String("repo", st.Repo), slog.String("url", st.URL),
+		slog.Duration("interval", st.Interval))
+	writeJSON(w, http.StatusCreated, st)
+	return nil
 }
 
-func (s *Server) handleScheduleList(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("schedules", w, r, func() error {
-		if s.Scheduler == nil {
-			return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"schedules": s.Scheduler.List()})
-		return nil
-	})
+func (s *Server) handleScheduleList(w http.ResponseWriter, r *http.Request) error {
+	if s.Scheduler == nil {
+		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"schedules": s.Scheduler.List()})
+	return nil
 }
 
 // scheduleOp runs one named mutation against a path-addressed schedule.
-func (s *Server) scheduleOp(w http.ResponseWriter, r *http.Request, op string, fn func(repo string) error) {
-	s.endpoint("schedules", w, r, func() error {
-		if s.Scheduler == nil {
-			return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
-		}
-		repo := r.PathValue("repo")
-		if err := fn(repo); err != nil {
-			return errf(http.StatusNotFound, "%v", err)
-		}
-		s.logger().LogAttrs(r.Context(), slog.LevelInfo, "schedule."+op,
-			slog.String("repo", repo))
-		st, _ := s.Scheduler.Get(repo)
-		writeJSON(w, http.StatusOK, map[string]any{"repo": repo, "op": op, "schedule": st})
-		return nil
-	})
+func (s *Server) scheduleOp(w http.ResponseWriter, r *http.Request, op string, fn func(repo string) error) error {
+	if s.Scheduler == nil {
+		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	}
+	repo := r.PathValue("repo")
+	if err := fn(repo); err != nil {
+		return errf(http.StatusNotFound, "%v", err)
+	}
+	s.logger().LogAttrs(r.Context(), slog.LevelInfo, "schedule."+op,
+		slog.String("repo", repo))
+	st, _ := s.Scheduler.Get(repo)
+	writeJSON(w, http.StatusOK, map[string]any{"repo": repo, "op": op, "schedule": st})
+	return nil
 }
 
-func (s *Server) handleSchedulePause(w http.ResponseWriter, r *http.Request) {
-	s.scheduleOp(w, r, "pause", func(repo string) error { return s.Scheduler.Pause(repo) })
+func (s *Server) handleSchedulePause(w http.ResponseWriter, r *http.Request) error {
+	return s.scheduleOp(w, r, "pause", func(repo string) error { return s.Scheduler.Pause(repo) })
 }
 
-func (s *Server) handleScheduleResume(w http.ResponseWriter, r *http.Request) {
-	s.scheduleOp(w, r, "resume", func(repo string) error { return s.Scheduler.Resume(repo) })
+func (s *Server) handleScheduleResume(w http.ResponseWriter, r *http.Request) error {
+	return s.scheduleOp(w, r, "resume", func(repo string) error { return s.Scheduler.Resume(repo) })
 }
 
-func (s *Server) handleScheduleDelete(w http.ResponseWriter, r *http.Request) {
-	s.scheduleOp(w, r, "remove", func(repo string) error { return s.Scheduler.Remove(repo) })
+func (s *Server) handleScheduleDelete(w http.ResponseWriter, r *http.Request) error {
+	return s.scheduleOp(w, r, "remove", func(repo string) error { return s.Scheduler.Remove(repo) })
 }
 
 // handleChanges streams the change feed as NDJSON: every retained
 // event with Seq > ?since=, then — with ?follow=1 — blocks for new
-// events until the client goes away. Follow mode is exempt from the
-// request deadline (instrument) like /ingest: a tail legitimately
-// outlives any fixed budget.
-func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
-	s.endpoint("changes", w, r, func() error {
-		if s.Scheduler == nil {
-			return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+// events until the client goes away. The route streams, so like /ingest
+// it is exempt from the request deadline: a tail legitimately outlives
+// any fixed budget.
+func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) error {
+	if s.Scheduler == nil {
+		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	}
+	var since uint64
+	if v := r.URL.Query().Get("since"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return errf(http.StatusBadRequest, "invalid since %q", v)
 		}
-		var since uint64
-		if v := r.URL.Query().Get("since"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return errf(http.StatusBadRequest, "invalid since %q", v)
+		since = n
+	}
+	follow := r.URL.Query().Get("follow") == "1" || r.URL.Query().Get("follow") == "true"
+	if follow {
+		// A follow stream lives until the client hangs up; clear any
+		// listener-level connection deadlines like /ingest does.
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(time.Time{})
+		_ = rc.SetWriteDeadline(time.Time{})
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	// Each batch of events goes out as one Write and one flush.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	feed := s.Scheduler.Feed()
+	for {
+		buf.Reset()
+		for _, ev := range feed.Since(since) {
+			if err := enc.Encode(ev); err != nil {
+				return nil // an event json refuses ends the stream
 			}
-			since = n
+			since = ev.Seq
 		}
-		follow := r.URL.Query().Get("follow") == "1" || r.URL.Query().Get("follow") == "true"
-		if follow {
-			// A follow stream lives until the client hangs up; clear any
-			// listener-level connection deadlines like /ingest does.
-			rc := http.NewResponseController(w)
-			_ = rc.SetReadDeadline(time.Time{})
-			_ = rc.SetWriteDeadline(time.Time{})
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		// Each batch of events goes out as one Write and one flush.
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		feed := s.Scheduler.Feed()
-		for {
-			buf.Reset()
-			for _, ev := range feed.Since(since) {
-				if err := enc.Encode(ev); err != nil {
-					return nil // an event json refuses ends the stream
-				}
-				since = ev.Seq
-			}
-			if buf.Len() > 0 {
-				if _, err := w.Write(buf.Bytes()); err != nil {
-					return nil // client went away mid-stream
-				}
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if !follow {
-				return nil
-			}
-			if err := feed.Wait(r.Context(), since); err != nil {
-				return nil
+		if buf.Len() > 0 {
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return nil // client went away mid-stream
 			}
 		}
-	})
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if !follow {
+			return nil
+		}
+		if err := feed.Wait(r.Context(), since); err != nil {
+			return nil
+		}
+	}
 }
