@@ -51,7 +51,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -89,8 +88,8 @@ const (
 	// drainTimeout is the graceful-shutdown budget for in-flight
 	// requests on SIGINT/SIGTERM.
 	drainTimeout = 15 * time.Second
-	// snapshotEvery is the background WAL compaction cadence (boot and
-	// shutdown always compact).
+	// snapshotEvery is the background WAL compaction cadence (shutdown
+	// always compacts, boot whenever it restored state).
 	snapshotEvery = 5 * time.Minute
 	// The drift alarm trips when driftRatio of the last driftWindow
 	// pages of a repository fail.
@@ -383,18 +382,10 @@ func run(ctx context.Context, opts options) error {
 	return serve(ctx, ln, srv, drainTimeout, opts.log)
 }
 
-// sameRepoJSON reports whether two repositories marshal identically —
+// sameRepoJSON reports whether two repositories encode identically —
 // the preload skip test for restarts over a data directory.
 func sameRepoJSON(a, b *rule.Repository) bool {
-	aj, err := json.Marshal(a)
-	if err != nil {
-		return false
-	}
-	bj, err := json.Marshal(b)
-	if err != nil {
-		return false
-	}
-	return bytes.Equal(aj, bj)
+	return bytes.Equal(a.AppendJSON(nil, nil), b.AppendJSON(nil, nil))
 }
 
 // snapshotLoop compacts the WAL into a snapshot on a fixed cadence

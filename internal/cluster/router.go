@@ -49,10 +49,13 @@ type Router struct {
 	fast map[string]*fastRoute
 
 	// Journal, when set, receives every signature mutation (Register
-	// replacements and Observe folds) with a clone of the resulting
-	// signature, for the persistence WAL. Called under r.mu so record
-	// order matches mutation order; attach only after boot replay, and
-	// never call back into the router from the hook.
+	// replacements and Observe folds) with the resulting signature, for
+	// the persistence WAL: Register passes the caller's signature,
+	// Observe the router's own. Called under r.mu so record order
+	// matches mutation order and the signature holds still; the hook
+	// must encode it before returning and keep no reference. Attach only
+	// after boot replay, and never call back into the router from the
+	// hook.
 	Journal func(name string, sig *Signature)
 }
 
@@ -91,7 +94,7 @@ func (r *Router) Register(name string, sig *Signature) {
 	r.sigs[name] = sig.Clone()
 	r.invalidateFastLocked()
 	if r.Journal != nil {
-		r.Journal(name, sig.Clone())
+		r.Journal(name, sig)
 	}
 }
 
@@ -126,7 +129,7 @@ func (r *Router) Observe(name string, f Features) {
 	sig.Add(f)
 	r.invalidateFastLocked()
 	if r.Journal != nil {
-		r.Journal(name, sig.Clone())
+		r.Journal(name, sig)
 	}
 }
 
@@ -331,10 +334,12 @@ func (r *Router) Export() map[string]*Signature {
 	return out
 }
 
-// Import upserts cloned signatures into the routing table — the boot
-// restore path. Unlike Register it takes whole-signature state, so a
-// replayed Observe-learned signature lands with its full page count
-// and feature weights rather than restarting from one page.
+// Import upserts signatures into the routing table — the boot restore
+// path. Unlike Register it takes whole-signature state, so a replayed
+// Observe-learned signature lands with its full page count and feature
+// weights rather than restarting from one page. The router takes the
+// signatures over: the caller, which decoded them, must not touch them
+// again.
 func (r *Router) Import(sigs map[string]*Signature) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,7 +350,7 @@ func (r *Router) Import(sigs map[string]*Signature) {
 		if name == "" || sig == nil {
 			continue
 		}
-		r.sigs[name] = sig.Clone()
+		r.sigs[name] = sig
 	}
 	r.invalidateFastLocked()
 }

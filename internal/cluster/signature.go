@@ -3,9 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/textutil"
 )
 
 // Signature is an incremental summary of a page cluster: for every
@@ -42,6 +45,12 @@ type Signature struct {
 	tagsTotal     int
 	keywordsTotal int
 	totalsValid   bool
+
+	// sorted lists the keys of Tags, Keywords and URLPatterns in
+	// increasing order as a decode read them, sparing AppendJSON the
+	// sort; nil where unknown. AppendJSON uses a list only while it
+	// names exactly its map's keys, and Add drops all three.
+	sorted [3][]string
 }
 
 func sumCounts(m map[string]int) int {
@@ -153,6 +162,7 @@ func (s *Signature) Add(f Features) {
 		s.URLPatterns = map[string]int{}
 	}
 	s.ensureTotals()
+	s.sorted = [3][]string{}
 	s.Pages++
 	for t := range cleanSet(f.TagShingles) {
 		s.Tags[t]++
@@ -308,6 +318,7 @@ func (s *Signature) Clone() *Signature {
 		tagsTotal:     s.tagsTotal,
 		keywordsTotal: s.keywordsTotal,
 		totalsValid:   s.totalsValid,
+		sorted:        s.sorted,
 	}
 	for k, v := range s.Tags {
 		out.Tags[k] = v
@@ -321,54 +332,122 @@ func (s *Signature) Clone() *Signature {
 	return out
 }
 
-// Validate checks a deserialized signature for internal consistency.
+// Validate checks a deserialized signature for internal consistency. Of
+// several out-of-range features it names the least key of the first map
+// holding one, so the error text does not depend on map order.
 func (s *Signature) Validate() error {
 	if s.Pages < 0 {
 		return fmt.Errorf("cluster: signature has negative page count %d", s.Pages)
 	}
 	for _, m := range []map[string]int{s.Tags, s.Keywords, s.URLPatterns} {
+		bad, found := "", false
 		for k, c := range m {
-			if c < 0 || c > s.Pages {
-				return fmt.Errorf("cluster: signature feature %q count %d outside [0,%d]", k, c, s.Pages)
+			if (c < 0 || c > s.Pages) && (!found || k < bad) {
+				bad, found = k, true
 			}
+		}
+		if found {
+			return fmt.Errorf("cluster: signature feature %q count %d outside [0,%d]", bad, m[bad], s.Pages)
 		}
 	}
 	return nil
 }
 
-// MarshalJSON emits deterministic output (sorted keys) so signatures in
-// committed rule repositories produce stable diffs.
+// The signature's JSON form lists each feature map as key-sorted
+// {"k":…,"n":…} pairs, so signatures in committed rule repositories
+// produce stable diffs:
+//
+//	{"pages":3,"tags":[{"k":"HTML","n":3}],"keywords":[…],"urlPatterns":[…]}
+//
+// Empty maps are left out. AppendJSON writes it and DecodeSignature
+// reads it in one direct pass each; both give exactly what the
+// reflective encoding/json route would.
+
+// MarshalJSON returns AppendJSON's bytes.
 func (s *Signature) MarshalJSON() ([]byte, error) {
-	type kv struct {
-		K string `json:"k"`
-		N int    `json:"n"`
-	}
-	sorted := func(m map[string]int) []kv {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]kv, 0, len(keys))
-		for _, k := range keys {
-			out = append(out, kv{k, m[k]})
-		}
-		return out
-	}
-	return json.Marshal(struct {
-		Pages       int  `json:"pages"`
-		Tags        []kv `json:"tags,omitempty"`
-		Keywords    []kv `json:"keywords,omitempty"`
-		URLPatterns []kv `json:"urlPatterns,omitempty"`
-	}{s.Pages, sorted(s.Tags), sorted(s.Keywords), sorted(s.URLPatterns)})
+	return s.AppendJSON(nil), nil
 }
 
-// UnmarshalJSON reads the sorted-pairs form of MarshalJSON.
-func (s *Signature) UnmarshalJSON(data []byte) error {
-	type kv struct {
-		K string `json:"k"`
-		N int    `json:"n"`
+// AppendJSON appends the signature's JSON form, byte for byte what
+// json.Marshal writes for it.
+func (s *Signature) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"pages":`...)
+	dst = strconv.AppendInt(dst, int64(s.Pages), 10)
+	dst = appendPairs(dst, `,"tags":[`, s.Tags, s.sorted[0])
+	dst = appendPairs(dst, `,"keywords":[`, s.Keywords, s.sorted[1])
+	dst = appendPairs(dst, `,"urlPatterns":[`, s.URLPatterns, s.sorted[2])
+	return append(dst, '}')
+}
+
+// appendPairs appends one feature map as its member, opened by head,
+// unless the map is empty. sorted, when it still lists exactly the
+// map's keys, gives their order; otherwise the keys are sorted here.
+func appendPairs(dst []byte, head string, m map[string]int, sorted []string) []byte {
+	if len(m) == 0 {
+		return dst
 	}
+	if len(sorted) == len(m) {
+		if out, ok := appendPairList(dst, head, m, sorted); ok {
+			return out
+		}
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst, _ = appendPairList(dst, head, m, keys)
+	return dst
+}
+
+// appendPairList appends the pairs of m in the order of keys, reporting
+// false, with dst as it was, if m lacks one of them.
+func appendPairList(dst []byte, head string, m map[string]int, keys []string) ([]byte, bool) {
+	start := len(dst)
+	// Room for every pair with an unescaped key and a count of up to four
+	// digits: one allocation for a signature's worth of pairs.
+	need := len(head) + 1
+	for _, k := range keys {
+		need += len(k) + len(`{"k":"","n":0000},`)
+	}
+	dst = slices.Grow(dst, need)
+	dst = append(dst, head...)
+	for i, k := range keys {
+		n, ok := m[k]
+		if !ok {
+			return dst[:start], false
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"k":`...)
+		dst = textutil.AppendJSONString(dst, k)
+		dst = append(dst, `,"n":`...)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), true
+}
+
+// UnmarshalJSON reads the signature's JSON form. The canonical form —
+// the members of AppendJSON in any order, each at most once, with any
+// whitespace — decodes in one pass; anything else, and any signature
+// that fails Validate, takes the reflective route, so the value or the
+// error is always the one encoding/json gives.
+func (s *Signature) UnmarshalJSON(data []byte) error {
+	var r textutil.JSONReader
+	r.Reset(data)
+	if sig := DecodeSignature(&r); sig != nil {
+		if r.End(); r.OK() {
+			*s = *sig
+			return nil
+		}
+	}
+	return s.unmarshalReflect(data)
+}
+
+// unmarshalReflect is UnmarshalJSON's encoding/json route.
+func (s *Signature) unmarshalReflect(data []byte) error {
 	var raw struct {
 		Pages       int  `json:"pages"`
 		Tags        []kv `json:"tags"`
@@ -378,19 +457,119 @@ func (s *Signature) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	toMap := func(pairs []kv) map[string]int {
-		m := make(map[string]int, len(pairs))
-		for _, p := range pairs {
-			m[p.K] = p.N
-		}
-		return m
-	}
 	*s = Signature{
 		Pages:       raw.Pages,
-		Tags:        toMap(raw.Tags),
-		Keywords:    toMap(raw.Keywords),
-		URLPatterns: toMap(raw.URLPatterns),
+		Tags:        pairMap(raw.Tags),
+		Keywords:    pairMap(raw.Keywords),
+		URLPatterns: pairMap(raw.URLPatterns),
 	}
 	s.ensureTotals()
 	return s.Validate()
+}
+
+// kv is one feature of the JSON form.
+type kv struct {
+	K string `json:"k"`
+	N int    `json:"n"`
+}
+
+// pairMap folds pairs into a feature map; a repeated key keeps its last
+// count.
+func pairMap(pairs []kv) map[string]int {
+	m := make(map[string]int, len(pairs))
+	for _, p := range pairs {
+		m[p.K] = p.N
+	}
+	return m
+}
+
+// DecodeSignature reads a signature in the canonical form (see
+// UnmarshalJSON) at r's position and returns it validated, or nil —
+// with r failed or the signature invalid — when the caller must take
+// the encoding/json route instead. A decoder of an enclosing document
+// calls it to read the signature in its own pass.
+func DecodeSignature(r *textutil.JSONReader) *Signature {
+	r.Byte('{')
+	var sig Signature
+	var pairs []kv
+	var seen [4]bool
+	more := r.Peek() != '}'
+	if !more {
+		r.Byte('}')
+	}
+	for more && r.OK() {
+		feature := -1 // index into sig.sorted of the map read here
+		switch {
+		case !seen[0] && r.IsKey("pages"):
+			seen[0] = true
+			sig.Pages = r.Int()
+		case !seen[1] && r.IsKey("tags"):
+			seen[1], feature = true, 0
+		case !seen[2] && r.IsKey("keywords"):
+			seen[2], feature = true, 1
+		case !seen[3] && r.IsKey("urlPatterns"):
+			seen[3], feature = true, 2
+		default:
+			r.Fail()
+		}
+		if feature >= 0 {
+			pairs = decodePairs(r, pairs[:0])
+			*sig.feature(feature) = pairMap(pairs)
+			sig.sorted[feature] = ascendingKeys(pairs)
+		}
+		more = r.Next('}')
+	}
+	if !r.OK() {
+		return nil
+	}
+	for i := range sig.sorted {
+		if m := sig.feature(i); *m == nil {
+			*m = map[string]int{}
+		}
+	}
+	sig.ensureTotals()
+	if sig.Validate() != nil {
+		return nil
+	}
+	return &sig
+}
+
+// feature returns the feature map AppendJSON writes i-th.
+func (s *Signature) feature(i int) *map[string]int {
+	return [...]*map[string]int{&s.Tags, &s.Keywords, &s.URLPatterns}[i]
+}
+
+// ascendingKeys returns the keys of pairs when they strictly increase —
+// as AppendJSON writes them — and nil otherwise.
+func ascendingKeys(pairs []kv) []string {
+	keys := make([]string, len(pairs))
+	for i, p := range pairs {
+		if i > 0 && p.K <= keys[i-1] {
+			return nil
+		}
+		keys[i] = p.K
+	}
+	return keys
+}
+
+// decodePairs appends the pairs of one feature array to pairs: the maps
+// are then built at their final size.
+func decodePairs(r *textutil.JSONReader, pairs []kv) []kv {
+	r.Byte('[')
+	more := r.Peek() != ']'
+	if !more {
+		r.Byte(']')
+	}
+	for more && r.OK() {
+		r.Byte('{')
+		r.Key("k")
+		k := r.String()
+		r.Byte(',')
+		r.Key("n")
+		n := r.Int()
+		r.Byte('}')
+		pairs = append(pairs, kv{k, n})
+		more = r.Next(']')
+	}
+	return pairs
 }

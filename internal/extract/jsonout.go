@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"unicode/utf8"
+
+	"repro/internal/textutil"
 )
 
 // JSON rendering of extraction output, the service-friendly sibling of
@@ -73,7 +74,7 @@ func (e *Element) JSONValue() any {
 // keys, which keeps the direct path's linear key handling bounded.
 func (e *Element) AppendJSON(dst []byte) []byte {
 	if len(e.Children) == 0 && len(e.Attrs) == 0 {
-		return AppendJSONString(dst, e.Text)
+		return textutil.AppendJSONString(dst, e.Text)
 	}
 	var arr [16]jsonKey
 	keys := arr[:0]
@@ -121,16 +122,16 @@ func (e *Element) AppendJSON(dst []byte) []byte {
 		switch {
 		case k.attr:
 			dst = append(dst, `"@`...)
-			dst = appendJSONStringBody(dst, k.name)
+			dst = textutil.AppendJSONStringBody(dst, k.name)
 			dst = append(dst, `":`...)
-			dst = AppendJSONString(dst, e.Attrs[k.idx].Value)
+			dst = textutil.AppendJSONString(dst, e.Attrs[k.idx].Value)
 			continue
 		case k.idx < 0:
 			dst = append(dst, `"#text":`...)
-			dst = AppendJSONString(dst, e.Text)
+			dst = textutil.AppendJSONString(dst, e.Text)
 			continue
 		}
-		dst = AppendJSONString(dst, k.name)
+		dst = textutil.AppendJSONString(dst, k.name)
 		dst = append(dst, ':')
 		if k.count == 1 {
 			dst = e.Children[k.idx].AppendJSON(dst)
@@ -188,78 +189,6 @@ func appendJSONValue(dst []byte, e *Element) []byte {
 	b, _ := json.Marshal(e.JSONValue())
 	return append(dst, b...)
 }
-
-// AppendJSONString appends s as a JSON string literal exactly as
-// encoding/json writes it by default: the HTML-sensitive <, > and &
-// escaped, U+2028 and U+2029 escaped, and each invalid UTF-8 byte
-// replaced by an escaped U+FFFD.
-func AppendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	dst = appendJSONStringBody(dst, s)
-	return append(dst, '"')
-}
-
-func appendJSONStringBody(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if jsonSafe[b] {
-			i++
-			continue
-		}
-		if b < utf8.RuneSelf {
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-		case c == 0x2028 || c == 0x2029:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(dst, s[start:]...)
-}
-
-// jsonSafe marks the bytes AppendJSONString copies through verbatim:
-// printable ASCII except the quote, the backslash and the HTML-sensitive
-// <, > and &. Bytes ≥ 0x80 are unmarked and decoded as UTF-8.
-var jsonSafe = func() (t [256]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = true
-	}
-	for _, b := range `"\<>&` {
-		t[b] = false
-	}
-	return t
-}()
 
 // AppendIndented appends src, a compact JSON text such as AppendJSON
 // writes, to dst indented exactly as json.Indent(dst, src, "", "  ")
@@ -343,7 +272,7 @@ func appendNewline(dst []byte, depth int) []byte {
 // naming the element, indented as json.MarshalIndent(…, "", "  ")
 // writes it.
 func (e *Element) jsonDocument() []byte {
-	compact := append(AppendJSONString([]byte{'{'}, e.Name), ':')
+	compact := append(textutil.AppendJSONString([]byte{'{'}, e.Name), ':')
 	compact = append(e.AppendJSON(compact), '}')
 	return AppendIndented(nil, compact)
 }

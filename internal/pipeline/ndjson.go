@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
-	"unicode/utf8"
 
-	"repro/internal/extract"
+	"repro/internal/textutil"
 )
 
 // The NDJSON wire codec: page lines in, result lines out, without the
@@ -23,8 +21,7 @@ import (
 // values, surrogate escapes, invalid UTF-8, malformed JSON — is handed
 // to json.Unmarshal, so values and error text stay encoding/json's.
 type pageLineDecoder struct {
-	// scratch receives the unescaped bytes of strings carrying escapes.
-	scratch []byte
+	r textutil.JSONReader
 }
 
 // maxRetainedScratch caps the per-line buffers kept between lines (the
@@ -36,8 +33,8 @@ const maxRetainedScratch = 1 << 20
 // decode fills *out from one trimmed, non-empty line.
 func (d *pageLineDecoder) decode(line []byte, out *PageLine) error {
 	ok := d.decodeCanonical(line, out)
-	if cap(d.scratch) > maxRetainedScratch {
-		d.scratch = nil
+	if cap(d.r.Scratch) > maxRetainedScratch {
+		d.r.Scratch = nil
 	}
 	if ok {
 		return nil
@@ -49,159 +46,25 @@ func (d *pageLineDecoder) decode(line []byte, out *PageLine) error {
 // decodeCanonical reports whether line is in the canonical form, filling
 // *out when it is.
 func (d *pageLineDecoder) decodeCanonical(line []byte, out *PageLine) bool {
-	i := skipJSONSpace(line, 0)
-	if i == len(line) || line[i] != '{' {
-		return false
-	}
+	r := &d.r
+	r.Reset(line)
+	r.Byte('{')
 	var seenURI, seenHTML bool
-	for {
-		i = skipJSONSpace(line, i+1)
-		var dst *string
-		switch rest := line[i:]; {
-		case !seenURI && bytes.HasPrefix(rest, []byte(`"uri"`)):
-			dst, seenURI, i = &out.URI, true, i+len(`"uri"`)
-		case !seenHTML && bytes.HasPrefix(rest, []byte(`"html"`)):
-			dst, seenHTML, i = &out.HTML, true, i+len(`"html"`)
+	for r.OK() {
+		switch {
+		case !seenURI && r.IsKey("uri"):
+			out.URI, seenURI = r.String(), true
+		case !seenHTML && r.IsKey("html"):
+			out.HTML, seenHTML = r.String(), true
 		default:
 			return false
 		}
-		i = skipJSONSpace(line, i)
-		if i == len(line) || line[i] != ':' {
-			return false
-		}
-		var ok bool
-		if *dst, i, ok = d.decodeString(line, skipJSONSpace(line, i+1)); !ok {
-			return false
-		}
-		i = skipJSONSpace(line, i)
-		if i == len(line) {
-			return false
-		}
-		switch line[i] {
-		case ',':
-		case '}':
-			return skipJSONSpace(line, i+1) == len(line)
-		default:
-			return false
-		}
-	}
-}
-
-// decodeString decodes the JSON string starting at line[i], returning it
-// and the index just past its closing quote. ok is false for anything
-// the canonical form excludes (control bytes, invalid UTF-8, surrogate or
-// unknown escapes, an unterminated string).
-func (d *pageLineDecoder) decodeString(line []byte, i int) (s string, next int, ok bool) {
-	if i == len(line) || line[i] != '"' {
-		return "", 0, false
-	}
-	start := i + 1
-	j, ascii := scanJSONPlain(line, start)
-	if j < len(line) && line[j] == '"' {
-		if !ascii && !utf8.Valid(line[start:j]) {
-			return "", 0, false
-		}
-		return string(line[start:j]), j + 1, true
-	}
-	buf := append(d.scratch[:0], line[start:j]...)
-	for j < len(line) && line[j] == '\\' {
-		if j+1 == len(line) {
-			return "", 0, false
-		}
-		switch c := line[j+1]; c {
-		case '"', '\\', '/':
-			buf = append(buf, c)
-		case 'b':
-			buf = append(buf, '\b')
-		case 'f':
-			buf = append(buf, '\f')
-		case 'n':
-			buf = append(buf, '\n')
-		case 'r':
-			buf = append(buf, '\r')
-		case 't':
-			buf = append(buf, '\t')
-		case 'u':
-			r, ok := hex4(line, j+2)
-			if !ok || r >= 0xD800 && r < 0xE000 {
-				return "", 0, false
-			}
-			buf = utf8.AppendRune(buf, r)
-			j += 4
-		default:
-			return "", 0, false
-		}
-		j += 2
-		k, plain := scanJSONPlain(line, j)
-		ascii = ascii && plain
-		buf = append(buf, line[j:k]...)
-		j = k
-	}
-	d.scratch = buf
-	if j == len(line) || line[j] != '"' || !ascii && !utf8.Valid(buf) {
-		return "", 0, false
-	}
-	return string(buf), j + 1, true
-}
-
-// scanJSONPlain returns the end of the run of bytes from line[i] that a
-// JSON string carries verbatim — everything but the quote, the backslash
-// and control bytes — and whether that run was pure ASCII.
-func scanJSONPlain(line []byte, i int) (end int, ascii bool) {
-	ascii = true
-	for ; i < len(line); i++ {
-		c := line[i]
-		if jsonPlain[c] {
-			continue
-		}
-		if c < utf8.RuneSelf {
+		if !r.Next('}') {
 			break
 		}
-		ascii = false
 	}
-	return i, ascii
-}
-
-// jsonPlain marks printable ASCII other than the quote and the backslash.
-var jsonPlain = func() (t [256]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = b != '"' && b != '\\'
-	}
-	return t
-}()
-
-// hex4 parses the four hex digits of a \u escape at line[i:].
-func hex4(line []byte, i int) (rune, bool) {
-	if i+4 > len(line) {
-		return 0, false
-	}
-	var r rune
-	for _, c := range line[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
-}
-
-func skipJSONSpace(line []byte, i int) int {
-	for i < len(line) {
-		switch line[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
+	r.End()
+	return r.OK()
 }
 
 // AppendResultLine appends the NDJSON result line of one item — exactly
@@ -220,10 +83,10 @@ func AppendResultLine(dst []byte, it *Item, trace string) ([]byte, error) {
 		uri = it.Page.URI
 	}
 	dst = append(dst, `{"uri":`...)
-	dst = extract.AppendJSONString(dst, uri)
+	dst = textutil.AppendJSONString(dst, uri)
 	if it.Repo != "" {
 		dst = append(dst, `,"repo":`...)
-		dst = extract.AppendJSONString(dst, it.Repo)
+		dst = textutil.AppendJSONString(dst, it.Repo)
 	}
 	if it.Score != 0 {
 		dst = append(dst, `,"score":`...)
@@ -232,7 +95,7 @@ func AppendResultLine(dst []byte, it *Item, trace string) ([]byte, error) {
 	if it.Err != nil {
 		if msg := it.Err.Error(); msg != "" {
 			dst = append(dst, `,"error":`...)
-			dst = extract.AppendJSONString(dst, msg)
+			dst = textutil.AppendJSONString(dst, msg)
 		}
 	} else {
 		if it.Element != nil {
@@ -245,14 +108,14 @@ func AppendResultLine(dst []byte, it *Item, trace string) ([]byte, error) {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
-				dst = extract.AppendJSONString(dst, f.String())
+				dst = textutil.AppendJSONString(dst, f.String())
 			}
 			dst = append(dst, ']')
 		}
 	}
 	if trace != "" {
 		dst = append(dst, `,"trace":`...)
-		dst = extract.AppendJSONString(dst, trace)
+		dst = textutil.AppendJSONString(dst, trace)
 	}
 	return append(dst, "}\n"...), nil
 }

@@ -341,11 +341,11 @@ func TestPageLineDecoderScratchCap(t *testing.T) {
 	}
 	var d pageLineDecoder
 	decodeMatches(t, &d, huge)
-	if c := cap(d.scratch); c > maxRetainedScratch {
+	if c := cap(d.r.Scratch); c > maxRetainedScratch {
 		t.Errorf("scratch keeps %d bytes after a huge line, cap is %d", c, maxRetainedScratch)
 	}
 	decodeMatches(t, &d, []byte(`{"uri":"u","html":"`+bs+`u003cp"}`))
-	if c := cap(d.scratch); c == 0 || c > maxRetainedScratch {
+	if c := cap(d.r.Scratch); c == 0 || c > maxRetainedScratch {
 		t.Errorf("scratch cap %d after a small escaped line", c)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/textutil"
 )
 
 // StructureNode describes one node of the enhanced (aggregated) structure
@@ -220,8 +222,29 @@ func (repo *Repository) CompileAll() (map[string]*Compiled, error) {
 	return out, nil
 }
 
-// MarshalJSON output is deterministic (rules in recorded order), so
-// repositories diff cleanly under version control.
+// AppendJSON appends json.Marshal(repo)'s bytes. encoding/json writes
+// everything but the signature, which is most of a routed repository's
+// bytes and takes Signature.AppendJSON's direct pass. sig, when not nil,
+// must be repo.Signature.AppendJSON's output: a caller that also
+// journals the signature on its own encodes it once.
+func (repo *Repository) AppendJSON(dst, sig []byte) []byte {
+	rest := *repo
+	rest.Signature = nil
+	// Strings and slices of them: Marshal cannot fail.
+	b, _ := json.Marshal(&rest)
+	if repo.Signature == nil {
+		return append(dst, b...)
+	}
+	if sig == nil {
+		sig = repo.Signature.AppendJSON(nil)
+	}
+	// The signature is the last field and cluster and rules are never
+	// omitted, so it joins the object as one more member.
+	dst = append(dst, b[:len(b)-1]...)
+	dst = append(dst, `,"signature":`...)
+	dst = append(dst, sig...)
+	return append(dst, '}')
+}
 
 // Save writes the repository as indented JSON.
 func (repo *Repository) Save(path string) error {
@@ -237,16 +260,74 @@ func (repo *Repository) Save(path string) error {
 
 // Parse decodes and validates a repository from its JSON serialization —
 // the in-memory counterpart of Load, used by services that receive
-// repositories over the wire rather than from disk.
+// repositories over the wire rather than from disk. A signature in the
+// canonical form decodes in its own direct pass (see parseCanonical);
+// anything else goes to encoding/json whole, so the value or the error
+// is always the one json.Unmarshal gives.
 func Parse(data []byte) (*Repository, error) {
-	var repo Repository
-	if err := json.Unmarshal(data, &repo); err != nil {
-		return nil, fmt.Errorf("rule: parsing repository: %w", err)
+	repo := parseCanonical(data)
+	if repo == nil {
+		repo = new(Repository)
+		if err := json.Unmarshal(data, repo); err != nil {
+			return nil, fmt.Errorf("rule: parsing repository: %w", err)
+		}
 	}
 	if err := repo.Validate(); err != nil {
 		return nil, fmt.Errorf("rule: validating repository: %w", err)
 	}
-	return &repo, nil
+	return repo, nil
+}
+
+// parseCanonical decodes a repository object whose one "signature"
+// member cluster.DecodeSignature reads. encoding/json then decodes the
+// document with that member's value replaced by null, so it never scans
+// the signature's bytes and decodes every other member as it always
+// does. It returns nil when that route does not apply: no signature, a
+// key that folds to "signature" without spelling it, a signature
+// outside the canonical form or failing validation, malformed JSON.
+func parseCanonical(data []byte) *Repository {
+	var r textutil.JSONReader
+	r.Reset(data)
+	r.Byte('{')
+	var sig *cluster.Signature
+	start, end := 0, 0
+	more := r.Peek() != '}'
+	if !more {
+		r.Byte('}')
+	}
+	for more && r.OK() {
+		if r.IsKey("signature") {
+			if sig != nil || r.Peek() != '{' {
+				return nil
+			}
+			start = r.Pos()
+			if sig = cluster.DecodeSignature(&r); sig == nil {
+				return nil
+			}
+			end = r.Pos()
+		} else {
+			if strings.EqualFold(r.String(), "signature") {
+				return nil
+			}
+			r.Byte(':')
+			r.Skip()
+		}
+		more = r.Next('}')
+	}
+	r.End()
+	if !r.OK() || sig == nil {
+		return nil
+	}
+	rest := make([]byte, 0, len(data)-(end-start)+len("null"))
+	rest = append(rest, data[:start]...)
+	rest = append(rest, "null"...)
+	rest = append(rest, data[end:]...)
+	var repo Repository
+	if json.Unmarshal(rest, &repo) != nil {
+		return nil
+	}
+	repo.Signature = sig
+	return &repo
 }
 
 // Load reads a repository saved by Save and validates it.

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
 // Chaos end-to-end suite: the failure-hardening acceptance paths from
@@ -191,6 +193,53 @@ func TestChaosDeadlineUnderSaturation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "context deadline exceeded") {
 		t.Fatalf("body %q, want deadline error", body)
+	}
+}
+
+// TestChaosIngestDeadlineUnderSaturation is the /ingest counterpart of
+// TestChaosDeadlineUnderSaturation: the stream is exempt from the
+// request deadline, so the server's request budget bounds each page's
+// wait for the wedged pool instead. The page fails with the deadline
+// (not a shed) in bounded time and the stream still ends with its
+// summary line.
+func TestChaosIngestDeadlineUnderSaturation(t *testing.T) {
+	srv, ts := newChaosServer(t)
+	srv.RequestTimeout = 30 * time.Millisecond
+	srv.AdmissionWait = -1
+	_, repo := buildMoviesRepo(t, 23, 12)
+	postJSONRepo(t, ts.URL, repo, "movies")
+
+	release := blockPool(t, srv.Pool)
+	defer release()
+
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/ingest?repo=movies", "application/x-ndjson",
+		strings.NewReader(`{"uri":"http://x/p","html":"<html><body><h1>T</h1></body></html>"}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadlined ingest took %v — per-page bound not applied", elapsed)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("ingest answered %d lines, want the page and the summary:\n%s", len(lines), body)
+	}
+	var res pipeline.ResultLine
+	if err := json.Unmarshal([]byte(lines[0]), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Error != "extraction not scheduled: context deadline exceeded" {
+		t.Fatalf("page error %q, want the admission deadline", res.Error)
+	}
+	var sum ingestSummary
+	if err := json.Unmarshal([]byte(lines[1]), &sum); err != nil || !sum.Done || sum.PageErrors != 1 {
+		t.Fatalf("last line %q is no summary of one failed page (%v)", lines[1], err)
+	}
+	if n := srv.Metrics.Snapshot().Shed; n != 0 {
+		t.Errorf("shed = %d, want 0: the deadline, not admission shedding, ended the wait", n)
 	}
 }
 

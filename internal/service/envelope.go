@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/extract"
 	"repro/internal/pipeline"
+	"repro/internal/textutil"
 )
 
 // The extraction envelope, {"uri","repo","generation","record","failures"},
@@ -21,9 +22,9 @@ import (
 // page; failures are omitted when there are none.
 func appendExtractResult(dst []byte, uri, repo string, generation int, el *extract.Element, fails []extract.Failure) []byte {
 	dst = append(dst, `{"uri":`...)
-	dst = extract.AppendJSONString(dst, uri)
+	dst = textutil.AppendJSONString(dst, uri)
 	dst = append(dst, `,"repo":`...)
-	dst = extract.AppendJSONString(dst, repo)
+	dst = textutil.AppendJSONString(dst, repo)
 	dst = append(dst, `,"generation":`...)
 	dst = strconv.AppendInt(dst, int64(generation), 10)
 	dst = append(dst, `,"record":`...)
@@ -34,7 +35,7 @@ func appendExtractResult(dst []byte, uri, repo string, generation int, el *extra
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = extract.AppendJSONString(dst, f.String())
+			dst = textutil.AppendJSONString(dst, f.String())
 		}
 		dst = append(dst, ']')
 	}
@@ -44,7 +45,7 @@ func appendExtractResult(dst []byte, uri, repo string, generation int, el *extra
 // appendErrorObject appends {"error":msg}.
 func appendErrorObject(dst []byte, msg string) []byte {
 	dst = append(dst, `{"error":`...)
-	dst = extract.AppendJSONString(dst, msg)
+	dst = textutil.AppendJSONString(dst, msg)
 	return append(dst, '}')
 }
 
@@ -60,9 +61,9 @@ func (s *Server) appendBatchLine(dst []byte, it *pipeline.Item) []byte {
 	case it.Err != nil:
 		// encoding/json sorts map keys: "error" before "uri".
 		dst = append(dst, `{"error":`...)
-		dst = extract.AppendJSONString(dst, it.Err.Error())
+		dst = textutil.AppendJSONString(dst, it.Err.Error())
 		dst = append(dst, `,"uri":`...)
-		dst = extract.AppendJSONString(dst, it.Page.URI)
+		dst = textutil.AppendJSONString(dst, it.Page.URI)
 		return append(dst, '}')
 	}
 	gen := 0

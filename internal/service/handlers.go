@@ -697,14 +697,15 @@ func (s *Server) learnRoute(explicit bool, name string, page *core.Page, fails [
 // extractEntry runs one page extraction under pool admission, recording
 // latency and failure metrics, per-version stats and the drift monitor
 // observation — and, when AutoRepair is on and this page tripped the
-// repository's drift alarm, kicking the background repair.
-func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
+// repository's drift alarm, kicking the background repair. bound, when
+// > 0, caps the wait for pool admission (see Pool.doWait).
+func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page, bound time.Duration) (*extract.Element, map[string][]string, []extract.Failure, error) {
 	var el *extract.Element
 	var values map[string][]string
 	var fails []extract.Failure
 	var sinfo extract.StreamInfo
 	start := time.Now()
-	err := s.Pool.DoWait(ctx, s.admissionWait(), func() {
+	err := s.Pool.doWait(ctx, s.admissionWait(), bound, func() {
 		el, values, fails, sinfo = e.Proc.ExtractPageValuesInfo(page)
 	})
 	if err != nil {
@@ -836,7 +837,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	el, _, fails, err := s.extractEntry(r.Context(), e, page)
+	el, _, fails, err := s.extractEntry(r.Context(), e, page, 0)
 	if err != nil {
 		return err
 	}
@@ -851,20 +852,17 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) error {
 type extractor struct{ s *Server }
 
 // Extract implements pipeline.Extractor. When the server has a request
-// budget, each page's extraction runs under its own deadline — this is
-// how streaming /ingest (exempt from the whole-request deadline) still
-// bounds every individual extraction.
+// budget, each page's wait for the pool is bounded by it — this is how
+// streaming /ingest (exempt from the whole-request deadline) still
+// bounds every individual extraction. Only the wait needs the bound (an
+// admitted task always runs), so a page admitted at once pays for no
+// timer.
 func (x extractor) Extract(ctx context.Context, repo string, page *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
 	e, ok := x.s.Registry.Get(repo)
 	if !ok {
 		return nil, nil, nil, errf(http.StatusNotFound, "repository %q not loaded", repo)
 	}
-	if x.s.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, x.s.RequestTimeout)
-		defer cancel()
-	}
-	return x.s.extractEntry(ctx, e, page)
+	return x.s.extractEntry(ctx, e, page, x.s.RequestTimeout)
 }
 
 // runPipeline streams src through classify and the server's extractor
@@ -990,7 +988,7 @@ func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) error 
 			return err
 		}
 	}
-	el, _, fails, err := s.extractEntry(r.Context(), e, page)
+	el, _, fails, err := s.extractEntry(r.Context(), e, page, 0)
 	if err != nil {
 		return err
 	}

@@ -131,9 +131,20 @@ type scheduleRequest struct {
 	Interval string `json:"interval,omitempty"`
 }
 
-func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) error {
+// requireScheduler gates the monitoring endpoints on the scheduler being
+// enabled.
+func (s *Server) requireScheduler() (*monitor.Scheduler, error) {
 	if s.Scheduler == nil {
-		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+		return nil, errf(http.StatusNotImplemented,
+			"monitoring not enabled (start extractd with -monitor)")
+	}
+	return s.Scheduler, nil
+}
+
+func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) error {
+	sched, err := s.requireScheduler()
+	if err != nil {
+		return err
 	}
 	body, err := s.readBody(r)
 	if err != nil {
@@ -153,7 +164,7 @@ func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) er
 			return errf(http.StatusBadRequest, "invalid interval %q: %v", req.Interval, err)
 		}
 	}
-	st, err := s.Scheduler.Register(req.Repo, req.URL, interval)
+	st, err := sched.Register(req.Repo, req.URL, interval)
 	if err != nil {
 		return errf(http.StatusBadRequest, "%v", err)
 	}
@@ -165,39 +176,41 @@ func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) er
 }
 
 func (s *Server) handleScheduleList(w http.ResponseWriter, r *http.Request) error {
-	if s.Scheduler == nil {
-		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	sched, err := s.requireScheduler()
+	if err != nil {
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"schedules": s.Scheduler.List()})
+	writeJSON(w, http.StatusOK, map[string]any{"schedules": sched.List()})
 	return nil
 }
 
 // scheduleOp runs one named mutation against a path-addressed schedule.
-func (s *Server) scheduleOp(w http.ResponseWriter, r *http.Request, op string, fn func(repo string) error) error {
-	if s.Scheduler == nil {
-		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+func (s *Server) scheduleOp(w http.ResponseWriter, r *http.Request, op string, fn func(sched *monitor.Scheduler, repo string) error) error {
+	sched, err := s.requireScheduler()
+	if err != nil {
+		return err
 	}
 	repo := r.PathValue("repo")
-	if err := fn(repo); err != nil {
+	if err := fn(sched, repo); err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}
 	s.logger().LogAttrs(r.Context(), slog.LevelInfo, "schedule."+op,
 		slog.String("repo", repo))
-	st, _ := s.Scheduler.Get(repo)
+	st, _ := sched.Get(repo)
 	writeJSON(w, http.StatusOK, map[string]any{"repo": repo, "op": op, "schedule": st})
 	return nil
 }
 
 func (s *Server) handleSchedulePause(w http.ResponseWriter, r *http.Request) error {
-	return s.scheduleOp(w, r, "pause", func(repo string) error { return s.Scheduler.Pause(repo) })
+	return s.scheduleOp(w, r, "pause", (*monitor.Scheduler).Pause)
 }
 
 func (s *Server) handleScheduleResume(w http.ResponseWriter, r *http.Request) error {
-	return s.scheduleOp(w, r, "resume", func(repo string) error { return s.Scheduler.Resume(repo) })
+	return s.scheduleOp(w, r, "resume", (*monitor.Scheduler).Resume)
 }
 
 func (s *Server) handleScheduleDelete(w http.ResponseWriter, r *http.Request) error {
-	return s.scheduleOp(w, r, "remove", func(repo string) error { return s.Scheduler.Remove(repo) })
+	return s.scheduleOp(w, r, "remove", (*monitor.Scheduler).Remove)
 }
 
 // handleChanges streams the change feed as NDJSON: every retained
@@ -206,8 +219,9 @@ func (s *Server) handleScheduleDelete(w http.ResponseWriter, r *http.Request) er
 // it is exempt from the request deadline: a tail legitimately outlives
 // any fixed budget.
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) error {
-	if s.Scheduler == nil {
-		return errf(http.StatusNotImplemented, "monitoring not enabled (start extractd with -monitor)")
+	sched, err := s.requireScheduler()
+	if err != nil {
+		return err
 	}
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -230,7 +244,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) error {
 	// Each batch of events goes out as one Write and one flush.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	feed := s.Scheduler.Feed()
+	feed := sched.Feed()
 	for {
 		buf.Reset()
 		for _, ev := range feed.Since(since) {

@@ -347,10 +347,36 @@ func TestMonitorSchedulerE2E(t *testing.T) {
 func TestScheduleAPI(t *testing.T) {
 	srv, ts := newTestServer(t)
 
-	for _, ep := range []string{"/schedules", "/changes"} {
-		code, _ := httpGetBody(t, ts.URL+ep, "")
-		if code != http.StatusNotImplemented {
-			t.Fatalf("GET %s without monitor = %d, want 501", ep, code)
+	// Without -monitor every scheduler route answers the same 501.
+	var first string
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodPost, "/schedules", `{"repo":"imdb-movies","url":"http://x/"}`},
+		{http.MethodGet, "/schedules", ""},
+		{http.MethodPost, "/schedules/imdb-movies/pause", ""},
+		{http.MethodPost, "/schedules/imdb-movies/resume", ""},
+		{http.MethodDelete, "/schedules/imdb-movies", ""},
+		{http.MethodGet, "/changes", ""},
+	} {
+		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(rt.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAllString(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Fatalf("%s %s without monitor = %d, want 501", rt.method, rt.path, resp.StatusCode)
+		}
+		if first == "" {
+			first = body
+			if !strings.Contains(body, "monitoring not enabled (start extractd with -monitor)") {
+				t.Fatalf("%s %s without monitor: body %q", rt.method, rt.path, body)
+			}
+		} else if body != first {
+			t.Fatalf("%s %s without monitor: body %q, want %q", rt.method, rt.path, body, first)
 		}
 	}
 

@@ -3,15 +3,19 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/extract"
 	"repro/internal/induct"
 	"repro/internal/lifecycle"
 	"repro/internal/monitor"
 	"repro/internal/rule"
 	"repro/internal/store"
+	"repro/internal/textutil"
 )
 
 // Durability wiring: AttachStore threads one append-only store through
@@ -37,12 +41,69 @@ const (
 	recMonRecrawl     = "monitor.recrawl"
 )
 
-// repoRecord journals one registry publish (Load or Stage).
+// repoRecord journals one registry publish (Load or Stage). Repo holds
+// the repository as rule.Repository.AppendJSON writes it.
 type repoRecord struct {
 	Name    string          `json:"name"`
 	Version int             `json:"version"`
 	Active  bool            `json:"active,omitempty"`
 	Repo    json.RawMessage `json:"repo"`
+}
+
+// AppendJSON implements store.JSONAppender: the same bytes as
+// json.Marshal, with Repo — compact JSON as json.Marshal writes it —
+// copied rather than scanned again.
+func (r repoRecord) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = textutil.AppendJSONString(dst, r.Name)
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendInt(dst, int64(r.Version), 10)
+	if r.Active {
+		dst = append(dst, `,"active":true`...)
+	}
+	dst = append(dst, `,"repo":`...)
+	if r.Repo == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, r.Repo...)
+	}
+	return append(dst, '}')
+}
+
+// decodeRepoRecord is json.Unmarshal into a repoRecord followed by
+// rule.Parse of its Repo, which it leaves unset. The canonical payload —
+// AppendJSON's members in its order, with any whitespace — takes one
+// pass: the repository decodes straight out of the payload. Anything
+// else takes that encoding/json route, so the value or the error is the
+// same either way.
+func decodeRepoRecord(data []byte) (repoRecord, *rule.Repository, error) {
+	var rr repoRecord
+	var r textutil.JSONReader
+	r.Reset(data)
+	r.Byte('{')
+	r.Key("name")
+	rr.Name = r.String()
+	r.Byte(',')
+	r.Key("version")
+	rr.Version = r.Int()
+	r.Byte(',')
+	if r.IsKey("active") {
+		rr.Active = r.Bool()
+		r.Byte(',')
+	}
+	r.Key("repo")
+	if raw := r.Tail('}'); r.OK() {
+		if repo, err := rule.Parse(raw); err == nil {
+			return rr, repo, nil
+		}
+	}
+	rr = repoRecord{}
+	if err := json.Unmarshal(data, &rr); err != nil {
+		return rr, nil, err
+	}
+	repo, err := rule.Parse(rr.Repo)
+	rr.Repo = nil
+	return rr, repo, err
 }
 
 // promoteRecord journals an activation (Promote or Rollback).
@@ -61,6 +122,51 @@ type removeRecord struct {
 type routerRecord struct {
 	Name string             `json:"name"`
 	Sig  *cluster.Signature `json:"sig"`
+	// sigJSON, when set, is Sig already encoded by Sig.AppendJSON.
+	sigJSON []byte
+}
+
+// AppendJSON implements store.JSONAppender: the same bytes as
+// json.Marshal.
+func (r routerRecord) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = textutil.AppendJSONString(dst, r.Name)
+	dst = append(dst, `,"sig":`...)
+	switch {
+	case r.sigJSON != nil:
+		dst = append(dst, r.sigJSON...)
+	case r.Sig != nil:
+		dst = r.Sig.AppendJSON(dst)
+	default:
+		dst = append(dst, "null"...)
+	}
+	return append(dst, '}')
+}
+
+// decodeRouterRecord is json.Unmarshal into a routerRecord, with the
+// canonical payload — AppendJSON's members in its order, a canonical
+// signature, any whitespace — taking one pass.
+func decodeRouterRecord(data []byte) (routerRecord, error) {
+	var rr routerRecord
+	var r textutil.JSONReader
+	r.Reset(data)
+	r.Byte('{')
+	r.Key("name")
+	rr.Name = r.String()
+	r.Byte(',')
+	r.Key("sig")
+	if raw := r.Tail('}'); r.OK() {
+		r.Reset(raw)
+		if sig := cluster.DecodeSignature(&r); sig != nil {
+			if r.End(); r.OK() {
+				rr.Sig = sig
+				return rr, nil
+			}
+		}
+	}
+	rr = routerRecord{}
+	err := json.Unmarshal(data, &rr)
+	return rr, err
 }
 
 // captureRecord journals one retained unrouted page.
@@ -74,12 +180,12 @@ type captureRecord struct {
 // json.Marshal, in one escaping pass over the page markup.
 func (r captureRecord) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"uri":`...)
-	dst = extract.AppendJSONString(dst, r.URI)
+	dst = textutil.AppendJSONString(dst, r.URI)
 	dst = append(dst, `,"html":`...)
-	dst = extract.AppendJSONString(dst, r.HTML)
+	dst = textutil.AppendJSONString(dst, r.HTML)
 	if r.Trace != "" {
 		dst = append(dst, `,"trace":`...)
-		dst = extract.AppendJSONString(dst, r.Trace)
+		dst = textutil.AppendJSONString(dst, r.Trace)
 	}
 	return append(dst, '}')
 }
@@ -104,8 +210,8 @@ type scheduleRemoveRecord struct {
 // AttachStore restores state from the store and wires every subsystem's
 // journal into it: snapshot restore → WAL replay → job resume → hook
 // attachment → boot compaction (so the next boot starts from a snapshot
-// covering everything just replayed). Call after EnableInduction and
-// before serving traffic.
+// covering everything just replayed; skipped when nothing was restored).
+// Call after EnableInduction and before serving traffic.
 func (s *Server) AttachStore(st *store.Store) error {
 	s.Store = st
 	start := time.Now()
@@ -140,7 +246,11 @@ func (s *Server) AttachStore(st *store.Store) error {
 		"duration", time.Since(start).String())
 
 	// Boot compaction folds the replayed WAL into a fresh snapshot, so
-	// repeated crash/restart cycles never replay the same tail twice.
+	// repeated crash/restart cycles never replay the same tail twice. A
+	// fresh data directory has nothing to fold.
+	if !loaded && replayed == 0 {
+		return nil
+	}
 	if err := st.Compact(s.captureState); err != nil {
 		return fmt.Errorf("service: boot compaction: %w", err)
 	}
@@ -198,12 +308,7 @@ func (s *Server) applyRecord(rec store.Record) {
 	}
 	switch rec.Type {
 	case recRepoStage:
-		var rr repoRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			warn(err)
-			return
-		}
-		repo, err := rule.Parse(rr.Repo)
+		rr, repo, err := decodeRepoRecord(rec.Data)
 		if err != nil {
 			warn(err)
 			return
@@ -232,8 +337,8 @@ func (s *Server) applyRecord(rec store.Record) {
 		s.Router.Unregister(rr.Name)
 		s.dropMonitor(rr.Name)
 	case recRouterSig:
-		var rr routerRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
+		rr, err := decodeRouterRecord(rec.Data)
+		if err != nil {
 			warn(err)
 			return
 		}
@@ -312,15 +417,28 @@ func (s *Server) append(st *store.Store, typ string, data any) {
 // matches mutation order; the store appends under its own independent
 // lock, keeping the lock order subsystem → store everywhere.
 func (s *Server) attachJournals(st *store.Store) {
+	// staged hands the signature bytes a loading publish just encoded to
+	// the router.sig record that follows for the same signature
+	// (LoadRepo registers what Registry.Load published), so a load sorts
+	// and encodes each signature once.
+	var staged struct {
+		sync.Mutex
+		sig     *cluster.Signature
+		sigJSON []byte
+	}
 	s.Registry.SetJournal(RegistryJournal{
 		Stage: func(name string, version int, active bool, repo *rule.Repository) {
-			data, err := json.Marshal(repo)
-			if err != nil {
-				s.logger().Warn("store.append-failed", "type", recRepoStage, "error", err.Error())
-				return
+			var sigJSON []byte
+			if repo.Signature != nil {
+				sigJSON = repo.Signature.AppendJSON(nil)
+				if active {
+					staged.Lock()
+					staged.sig, staged.sigJSON = repo.Signature, sigJSON
+					staged.Unlock()
+				}
 			}
 			s.append(st, recRepoStage, repoRecord{
-				Name: name, Version: version, Active: active, Repo: data,
+				Name: name, Version: version, Active: active, Repo: repo.AppendJSON(nil, sigJSON),
 			})
 		},
 		Promote: func(name string, version int) {
@@ -331,7 +449,14 @@ func (s *Server) attachJournals(st *store.Store) {
 		},
 	})
 	s.Router.Journal = func(name string, sig *cluster.Signature) {
-		s.append(st, recRouterSig, routerRecord{Name: name, Sig: sig})
+		staged.Lock()
+		var sigJSON []byte
+		if staged.sig == sig {
+			sigJSON = staged.sigJSON
+		}
+		staged.sig, staged.sigJSON = nil, nil
+		staged.Unlock()
+		s.append(st, recRouterSig, routerRecord{Name: name, Sig: sig, sigJSON: sigJSON})
 	}
 	if s.Induct != nil {
 		s.Induct.SetJournal(induct.Journal{
@@ -361,19 +486,21 @@ func (s *Server) attachJournals(st *store.Store) {
 	}
 }
 
-// captureState assembles the full-daemon snapshot. Each subsystem
-// exports under its own lock; the store's replay protocol tolerates
-// the exports racing concurrent mutations (their WAL records replay
-// idempotently on top).
+// captureState is the store's compaction capture: the full-daemon
+// snapshot, encoded.
 func (s *Server) captureState() (any, error) {
+	return s.exportState().encode()
+}
+
+// exportState assembles the full-daemon snapshot. Each subsystem exports
+// under its own lock; the store's replay protocol tolerates the exports
+// racing concurrent mutations (their WAL records replay idempotently on
+// top).
+func (s *Server) exportState() *persistedState {
 	ps := &persistedState{Router: s.Router.Export()}
 	for _, re := range s.Registry.Export() {
-		data, err := json.Marshal(re.Repo)
-		if err != nil {
-			return nil, fmt.Errorf("marshalling repo %q v%d: %w", re.Name, re.Version, err)
-		}
 		ps.Repos = append(ps.Repos, repoRecord{
-			Name: re.Name, Version: re.Version, Active: re.Active, Repo: data,
+			Name: re.Name, Version: re.Version, Active: re.Active, Repo: re.Repo.AppendJSON(nil, nil),
 		})
 	}
 	s.monMu.Lock()
@@ -394,5 +521,51 @@ func (s *Server) captureState() (any, error) {
 	if s.Scheduler != nil {
 		ps.Monitor = s.Scheduler.ExportState()
 	}
-	return ps, nil
+	return ps
+}
+
+// encode returns json.Marshal(ps)'s bytes. The repository and router
+// records, which hold the signatures, take their direct codecs;
+// encoding/json writes the rest.
+func (ps *persistedState) encode() (json.RawMessage, error) {
+	rest, err := json.Marshal(persistedState{Monitors: ps.Monitors, Induct: ps.Induct, Monitor: ps.Monitor})
+	if err != nil {
+		return nil, err
+	}
+	dst := []byte{'{'}
+	if len(ps.Repos) > 0 {
+		dst = append(dst, `"repos":[`...)
+		for i, rr := range ps.Repos {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = rr.AppendJSON(dst)
+		}
+		dst = append(dst, ']')
+	}
+	if len(ps.Router) > 0 {
+		if len(dst) > 1 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"router":{`...)
+		for i, name := range slices.Sorted(maps.Keys(ps.Router)) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(textutil.AppendJSONString(dst, name), ':')
+			if sig := ps.Router[name]; sig != nil {
+				dst = sig.AppendJSON(dst)
+			} else {
+				dst = append(dst, "null"...)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	if len(rest) > len("{}") {
+		if len(dst) > 1 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, rest[1:len(rest)-1]...)
+	}
+	return append(dst, '}'), nil
 }

@@ -3,15 +3,22 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/dom"
 	"repro/internal/induct"
 	"repro/internal/pipeline"
+	"repro/internal/rule"
 	"repro/internal/store"
 	"repro/internal/textutil"
 )
@@ -269,13 +276,14 @@ func TestStoreCaptureStateStableAcrossRestart(t *testing.T) {
 	}
 	ingestPages(t, ts1.URL, lines)
 
-	ps1, err := srv1.captureState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps1 := srv1.exportState()
 	want, err := json.Marshal(ps1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The snapshot's direct encoding is json.Marshal's.
+	if enc, err := ps1.encode(); err != nil || !bytes.Equal(enc, want) {
+		t.Fatalf("encode (err %v):\n got %.400s\nwant %.400s", err, enc, want)
 	}
 	if err := srv1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
@@ -285,16 +293,155 @@ func TestStoreCaptureStateStableAcrossRestart(t *testing.T) {
 	}
 
 	srv2, _ := build()
-	ps2, err := srv2.captureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(ps2)
+	got, err := json.Marshal(srv2.exportState())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("state diverged across restart:\nbefore (%d bytes): %.400s\nafter  (%d bytes): %.400s",
 			len(want), want, len(got), got)
+	}
+}
+
+// TestBootCompactsOnlyWhatItRestored: attaching a fresh data directory
+// writes no snapshot — there is nothing to fold — while a boot that
+// replayed WAL records folds them into one.
+func TestBootCompactsOnlyWhatItRestored(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := newTestServer(t)
+	st1 := attachTestStore(t, srv1, dir)
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fresh boot left a snapshot (stat err %v)", err)
+	}
+	if n := st1.Metrics().Snapshots; n != 0 {
+		t.Fatalf("fresh boot compacted %d times, want 0", n)
+	}
+	cl := corpus.GenerateMovies(corpus.DefaultMovieProfile(46, 6))
+	if _, err := srv1.LoadRepo("", buildRepoWithSignature(t, cl)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServer(t)
+	st2 := attachTestStore(t, srv2, dir)
+	if n := st2.Metrics().Snapshots; n != 1 {
+		t.Fatalf("boot over a WAL compacted %d times, want 1", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
+		t.Fatalf("boot over a WAL left no snapshot: %v", err)
+	}
+}
+
+// TestRestoreReflectCodecDataDir: testdata/reflectcodec/data was written
+// by the build before signatures and repository records had direct
+// codecs (encoding/json's reflective route): a snapshot holding one
+// repository, then a WAL tail with a second load, a staged version and
+// a router-learned signature, with keys that need escaping. It must
+// restore the registry versions and router signatures that build
+// restored, recorded by it in restored.json.
+func TestRestoreReflectCodecDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "reflectcodec")
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.json", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(src, "data", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := newTestServer(t)
+	attachTestStore(t, srv, dir)
+
+	var got struct {
+		Repos  []json.RawMessage             `json:"repos"`
+		Router map[string]*cluster.Signature `json:"router"`
+	}
+	for _, re := range srv.Registry.Export() {
+		b, err := json.Marshal(struct {
+			Name    string           `json:"name"`
+			Version int              `json:"version"`
+			Active  bool             `json:"active"`
+			Repo    *rule.Repository `json:"repo"`
+		}{re.Name, re.Version, re.Active, re.Repo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Repos = append(got.Repos, b)
+	}
+	got.Router = srv.Router.Export()
+	gotJSON, err := json.MarshalIndent(got, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(src, "restored.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(gotJSON, '\n'), want) {
+		t.Fatalf("restored state differs from restored.json:\n%.600s", gotJSON)
+	}
+	if len(got.Repos) != 3 || len(got.Router) != 2 {
+		t.Fatalf("restored %d repository versions and %d signatures, want 3 and 2", len(got.Repos), len(got.Router))
+	}
+}
+
+// TestJournalConcurrentLoadsReplay: a publish the router never sees,
+// then loads of signed repositories racing each other and router
+// learning, journal every signature right — the repo.stage record hands
+// its signature bytes to the router.sig record only for the very
+// signature it encoded — so a restart restores the routing table the
+// first server ended with.
+func TestJournalConcurrentLoadsReplay(t *testing.T) {
+	dir := t.TempDir()
+	movies := corpus.GenerateMovies(corpus.DefaultMovieProfile(47, 8))
+	books := corpus.GenerateBooks(corpus.DefaultBookProfile(48, 8))
+	repos := []*rule.Repository{buildRepoWithSignature(t, movies), buildRepoWithSignature(t, books)}
+
+	srv1, _ := newTestServer(t)
+	st1 := attachTestStore(t, srv1, dir)
+	// A publish the router never registers: the next router record is
+	// another signature's and must carry that signature's bytes.
+	if _, err := srv1.Registry.Load("unrouted", repos[0].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Router.Observe("learned", cluster.FeaturesFromParts("http://y.example/q/1",
+		map[string]struct{}{"HTML/BODY": {}}, map[string]struct{}{"only": {}}))
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := srv1.LoadRepo("", repos[i%2].Clone()); err != nil {
+				t.Error(err)
+			}
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			srv1.Router.Observe(repos[i%2].Cluster, cluster.FeaturesFromParts(
+				fmt.Sprintf("http://x.example/p/%d", i), map[string]struct{}{"HTML": {}},
+				map[string]struct{}{fmt.Sprintf("kw%d", i): {}}))
+		}(i)
+	}
+	wg.Wait()
+	want, err := json.Marshal(srv1.Router.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServer(t)
+	attachTestStore(t, srv2, dir)
+	got, err := json.Marshal(srv2.Router.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed routing table differs:\n got %.300s\nwant %.300s", got, want)
 	}
 }

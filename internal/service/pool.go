@@ -65,7 +65,15 @@ func (p *Pool) InFlight() int64 { return int64(len(p.run)) }
 // sheds with ErrSaturated: maxWait < 0 waits until ctx ends, 0 never
 // waits. ctx only bounds admission — an admitted task always runs. A
 // panic in fn surfaces as a *resilient.PanicError.
-func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) (err error) {
+func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) error {
+	return p.doWait(ctx, maxWait, 0, fn)
+}
+
+// doWait is DoWait with bound, when > 0, ending the admission wait as a
+// ctx deadline that far off would (with context.DeadlineExceeded). Its
+// timer starts only once fn has to wait: a task admitted at once
+// allocates no context or timer.
+func (p *Pool) doWait(ctx context.Context, maxWait, bound time.Duration, fn func()) (err error) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -78,7 +86,7 @@ func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) (er
 	select {
 	case p.admit <- struct{}{}:
 	default:
-		if err := p.wait(ctx, maxWait); err != nil {
+		if err := p.wait(ctx, maxWait, bound); err != nil {
 			return err
 		}
 	}
@@ -98,10 +106,16 @@ func (p *Pool) DoWait(ctx context.Context, maxWait time.Duration, fn func()) (er
 	return nil
 }
 
-// wait blocks for an admission slot until ctx ends or maxWait (> 0) passes.
-func (p *Pool) wait(ctx context.Context, maxWait time.Duration) error {
+// wait blocks for an admission slot until ctx ends, bound (> 0) passes
+// or maxWait (> 0) passes.
+func (p *Pool) wait(ctx context.Context, maxWait, bound time.Duration) error {
 	if maxWait == 0 {
 		return ErrSaturated
+	}
+	if bound > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, bound)
+		defer cancel()
 	}
 	var deadline <-chan time.Time
 	if maxWait > 0 {

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/textutil"
 )
 
 // RecordVersion is the current WAL record format version. Replay skips
@@ -255,8 +257,7 @@ func (s *Store) repairLog(path string) (maxSeq uint64, size int64, err error) {
 			s.truncateTorn(path, f, good, "checksum mismatch")
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err == nil && rec.Seq > maxSeq {
+		if rec, err := decodeRecord(payload); err == nil && rec.Seq > maxSeq {
 			maxSeq = rec.Seq
 		}
 		good += frameHeaderLen + int64(n)
@@ -356,6 +357,60 @@ func appendRecord(dst []byte, seq uint64, typ string, payload []byte) []byte {
 	dst = append(dst, `,"data":`...)
 	dst = append(dst, payload...)
 	return append(dst, '}')
+}
+
+// appendSnapshot appends snapshot.json's envelope around the encoded
+// state — byte-identical to json.Marshal(snapshotFile{...}) for the
+// compact, HTML-escaped state json.Marshal and the callers of Compact
+// produce, without re-scanning the state.
+func appendSnapshot(dst []byte, seq uint64, saved time.Time, state []byte) ([]byte, error) {
+	at, err := saved.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, RecordVersion, 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, `,"saved":`...)
+	dst = append(dst, at...)
+	dst = append(dst, `,"state":`...)
+	dst = append(dst, state...)
+	return append(dst, '}'), nil
+}
+
+// decodeRecord decodes one frame's payload, as json.Unmarshal into a
+// Record would. The envelope appendRecord writes (with any whitespace)
+// reads in one pass that checks Data's syntax without decoding it;
+// any other envelope goes to json.Unmarshal.
+func decodeRecord(payload []byte) (Record, error) {
+	var rec Record
+	var r textutil.JSONReader
+	r.Reset(payload)
+	r.Byte('{')
+	r.Key("v")
+	rec.V = r.Int()
+	r.Byte(',')
+	r.Key("seq")
+	seq := r.Int()
+	r.Byte(',')
+	r.Key("type")
+	rec.Type = r.String()
+	r.Byte(',')
+	r.Key("data")
+	r.Peek()
+	start := r.Pos()
+	r.Skip()
+	rec.Data = payload[start:r.Pos()]
+	r.Byte('}')
+	r.End()
+	if r.OK() && seq >= 0 {
+		rec.Seq = uint64(seq)
+		return rec, nil
+	}
+	rec = Record{}
+	err := json.Unmarshal(payload, &rec)
+	return rec, err
 }
 
 // validType reports whether a record type name is an identifier
@@ -500,8 +555,8 @@ func (s *Store) replayFile(path string, fn func(Record) error, n *int64) error {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			s.log.Warn("store.replay.bad-record", "error", err.Error())
 			continue
 		}
@@ -554,6 +609,8 @@ func (s *Store) readSnapshotFile() (*snapshotFile, bool, error) {
 //
 // capture runs outside the store's locks; it must itself lock whatever
 // subsystems it snapshots (the lock order is always subsystem → store).
+// A json.RawMessage state is taken as already encoded: it must be
+// compact JSON as json.Marshal writes it, HTML-escaped.
 func (s *Store) Compact(capture func() (any, error)) error {
 	// Rotate: every record so far moves aside; the capture below is
 	// guaranteed to reflect all of them (they happened before it).
@@ -599,14 +656,14 @@ func (s *Store) Compact(capture func() (any, error)) error {
 	if err != nil {
 		return fmt.Errorf("store: capturing snapshot state: %w", err)
 	}
-	stateJSON, err := json.Marshal(state)
-	if err != nil {
-		return fmt.Errorf("store: marshalling snapshot state: %w", err)
+	stateJSON, ok := state.(json.RawMessage)
+	if !ok {
+		if stateJSON, err = json.Marshal(state); err != nil {
+			return fmt.Errorf("store: marshalling snapshot state: %w", err)
+		}
 	}
 	now := time.Now()
-	data, err := json.Marshal(snapshotFile{
-		V: RecordVersion, Seq: seq, Saved: now, State: stateJSON,
-	})
+	data, err := appendSnapshot(nil, seq, now, stateJSON)
 	if err != nil {
 		return fmt.Errorf("store: marshalling snapshot: %w", err)
 	}
