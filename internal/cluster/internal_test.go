@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 )
 
@@ -80,5 +83,72 @@ func TestURLKeyMatchesSplitURI(t *testing.T) {
 		if got, want := urlKey(uri), ref(uri); got != want {
 			t.Errorf("urlKey(%q) = %q, want %q", uri, got, want)
 		}
+	}
+}
+
+// oldTrimRarest is the eviction loop trimRarest replaced: one full scan
+// of the map per evicted key. It stays as the reference.
+func oldTrimRarest(m map[string]int, cap int) (removed int) {
+	for len(m) > cap {
+		minK, minN := "", 0
+		for k, n := range m {
+			if minK == "" || n < minN || (n == minN && k < minK) {
+				minK, minN = k, n
+			}
+		}
+		delete(m, minK)
+		removed += minN
+	}
+	return removed
+}
+
+// TestTrimRarestMatchesLoop: the one-pass trim keeps exactly the entries
+// the per-key loop keeps and reports the same removed total, on maps
+// dense in count ties.
+func TestTrimRarestMatchesLoop(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got := map[string]int{}
+		for n := rng.Intn(200); n > 0; n-- {
+			got[fmt.Sprintf("k%d", rng.Intn(300))] = 1 + rng.Intn(1+rng.Intn(6))
+		}
+		want := maps.Clone(got)
+		limit := rng.Intn(len(got) + 2)
+		gotRemoved, wantRemoved := trimRarest(got, limit), oldTrimRarest(want, limit)
+		if gotRemoved != wantRemoved || !maps.Equal(got, want) {
+			t.Fatalf("seed %d, cap %d: removed %d, kept %v; the loop removed %d, kept %v",
+				seed, limit, gotRemoved, got, wantRemoved, want)
+		}
+	}
+}
+
+// BenchmarkSignatureAddSaturated: Add on a signature whose keyword map
+// sits at the cap, each page bringing 30 words it has never seen, so
+// every Add trims 30 keywords.
+func BenchmarkSignatureAddSaturated(b *testing.B) {
+	word := 0
+	page := func() Features {
+		f := Features{
+			URLPattern:  []string{"title", "tt#"},
+			TagShingles: map[string]struct{}{"HTML/BODY/H1": {}},
+			Keywords:    map[string]struct{}{},
+		}
+		for i := 0; i < 30; i++ {
+			f.Keywords[fmt.Sprintf("w%d", word)] = struct{}{}
+			word++
+		}
+		return f
+	}
+	s := NewSignature()
+	for len(s.Keywords) < maxSignatureFeatures {
+		s.Add(page())
+	}
+	pages := make([]Features, 2000)
+	for i := range pages {
+		pages[i] = page()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Add(pages[i%len(pages)])
 	}
 }

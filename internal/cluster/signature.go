@@ -178,20 +178,65 @@ func (s *Signature) Add(f Features) {
 	trimRarest(s.URLPatterns, maxSignatureFeatures)
 }
 
-// trimRarest drops lowest-count entries until the map fits the cap,
-// reporting the total count removed so callers can adjust cached sums.
+// trimRarest drops lowest-count entries (lowest key first among equal
+// counts) until the map fits the cap, choosing them all in one pass over
+// the map, and reports the total count removed so callers can adjust
+// cached sums.
 func trimRarest(m map[string]int, cap int) (removed int) {
-	for len(m) > cap {
-		minK, minN := "", 0
-		for k, n := range m {
-			if minK == "" || n < minN || (n == minN && k < minK) {
-				minK, minN = k, n
+	excess := len(m) - cap
+	if excess <= 0 {
+		return 0
+	}
+	// victims is a max-heap of the excess rarest entries seen so far; its
+	// root, the least rare of them, gives way to any rarer entry.
+	victims := make([]keyCount, 0, excess)
+	for k, n := range m {
+		e := keyCount{k, n}
+		switch {
+		case len(victims) < excess:
+			victims = append(victims, e)
+			for i := len(victims) - 1; i > 0; {
+				up := (i - 1) / 2
+				if !victims[up].rarer(victims[i]) {
+					break
+				}
+				victims[up], victims[i] = victims[i], victims[up]
+				i = up
+			}
+		case e.rarer(victims[0]):
+			victims[0] = e
+			for i := 0; ; {
+				top := i
+				for _, c := range [2]int{2*i + 1, 2*i + 2} {
+					if c < len(victims) && victims[top].rarer(victims[c]) {
+						top = c
+					}
+				}
+				if top == i {
+					break
+				}
+				victims[top], victims[i] = victims[i], victims[top]
+				i = top
 			}
 		}
-		delete(m, minK)
-		removed += minN
+	}
+	for _, e := range victims {
+		delete(m, e.key)
+		removed += e.n
 	}
 	return removed
+}
+
+// keyCount is one feature-map entry.
+type keyCount struct {
+	key string
+	n   int
+}
+
+// rarer orders entries as trimRarest evicts them: lower count first,
+// then lower key.
+func (a keyCount) rarer(b keyCount) bool {
+	return a.n < b.n || (a.n == b.n && a.key < b.key)
 }
 
 // joinPattern renders a normalized segment list as one pattern key.

@@ -21,7 +21,14 @@ type Page struct {
 
 	src     string
 	lazy    bool
+	parser  Parser
 	onParse func(*dom.Node)
+}
+
+// Parser builds a lazy page's tree from its source. dom.Parse is the
+// default; the service puts its page cache in front of it.
+type Parser interface {
+	Parse(src string) *dom.Node
 }
 
 // NewPage parses src into a Page.
@@ -41,12 +48,18 @@ func (p *Page) Source() (string, bool) {
 	return p.src, p.lazy
 }
 
-// SetOnParse registers a hook invoked (at most once) when a lazy page is
-// actually parsed by Document. The service layer uses it to admit the tree
-// into the page cache only when a parse really happened, so stream-path
-// extractions stop paying cache insertions for trees nobody built.
+// SetOnParse registers a hook invoked (at most once) when Document
+// builds a lazy page's tree, so a caller can observe that a parse
+// happened (tests assert paths that must not parse).
 func (p *Page) SetOnParse(fn func(*dom.Node)) {
 	p.onParse = fn
+}
+
+// SetParser makes Document build the tree with ps instead of dom.Parse,
+// so whatever ps does per tree (a cache lookup, hashing the source) is
+// paid only by pages some consumer parses.
+func (p *Page) SetParser(ps Parser) {
+	p.parser = ps
 }
 
 // Document returns the parsed tree, materializing it on first use for lazy
@@ -54,7 +67,11 @@ func (p *Page) SetOnParse(fn func(*dom.Node)) {
 // placeholder pages on pipeline error paths — those never carry source).
 func (p *Page) Document() *dom.Node {
 	if p.Doc == nil && p.lazy {
-		p.Doc = dom.Parse(p.src)
+		if p.parser != nil {
+			p.Doc = p.parser.Parse(p.src)
+		} else {
+			p.Doc = dom.Parse(p.src)
+		}
 		if p.onParse != nil {
 			p.onParse(p.Doc)
 			p.onParse = nil

@@ -61,14 +61,35 @@ type Processor struct {
 	Repo *rule.Repository
 
 	compiled map[string]*rule.Compiled
+	// layout is the record structure under the page element: the
+	// repository's enhanced structure, or one leaf per rule in rule order.
+	layout []rule.StructureNode
 
 	// stream is the whole repository compiled into one token-stream
 	// automaton (nil when any location needs the general evaluator;
-	// streamReason says why). scratch pools per-goroutine execution state.
+	// streamReason says why). scratch pools per-goroutine *streamState.
 	stream       *streamx.Program
 	streamReason string
 	scratch      sync.Pool
 }
+
+// streamState is one streaming extraction's reusable state: the
+// automaton's scratch and the buffers assembleStream gathers a page's
+// values in.
+type streamState struct {
+	sc *streamx.Scratch
+	// text holds the page's normalized values back to back; ends[j] is
+	// where value j ends in it.
+	text []byte
+	ends []int
+	// spans[i] is the end of rule i's values in ends, or -1 when the
+	// rule matched nothing.
+	spans []int
+}
+
+// maxRetainedText caps the value text a pooled streamState keeps
+// between pages, so one huge page does not pin its buffer.
+const maxRetainedText = 1 << 20
 
 // StreamInfo reports which extraction path served a page.
 type StreamInfo struct {
@@ -100,7 +121,12 @@ func NewProcessor(repo *rule.Repository) (*Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Processor{Repo: repo, compiled: compiled}
+	p := &Processor{Repo: repo, compiled: compiled, layout: repo.Structure}
+	if len(p.layout) == 0 {
+		for _, r := range repo.Rules {
+			p.layout = append(p.layout, rule.StructureNode{Name: r.Name, Component: r.Name})
+		}
+	}
 	ordered := make([]*rule.Compiled, len(repo.Rules))
 	for i, r := range repo.Rules {
 		ordered[i] = compiled[r.Name]
@@ -108,7 +134,7 @@ func NewProcessor(repo *rule.Repository) (*Processor, error) {
 	p.stream, p.streamReason = streamx.Compile(ordered)
 	if p.stream != nil {
 		prog := p.stream
-		p.scratch.New = func() any { return prog.NewScratch() }
+		p.scratch.New = func() any { return &streamState{sc: prog.NewScratch()} }
 	}
 	return p, nil
 }
@@ -141,21 +167,21 @@ func (p *Processor) ExtractPageValuesInfo(page *core.Page) (*Element, map[string
 	case p.stream == nil:
 		info.Reason = p.streamReason
 	case page.Doc != nil:
-		// A tree already exists (page-cache hit or eager page): streaming
-		// would only redo work the parse already paid for.
+		// A tree already exists (an eager page, or one a consumer already
+		// parsed): streaming would only redo work the parse paid for.
 		info.Reason = StreamReasonParsedDoc
 	case !lazy:
 		info.Reason = StreamReasonNoSource
 	default:
 		info.Attempted = true
-		sc := p.scratch.Get().(*streamx.Scratch)
-		if err := p.stream.Run(sc, src); err != nil {
-			p.scratch.Put(sc)
+		st := p.scratch.Get().(*streamState)
+		if err := p.stream.Run(st.sc, src); err != nil {
+			p.scratch.Put(st)
 			info.Reason = StreamReasonDepth
 			break
 		}
-		el, values, failures := p.assembleStream(page.URI, sc)
-		p.scratch.Put(sc)
+		el, values, failures := p.assembleStream(page.URI, st)
+		p.scratch.Put(st)
 		info.Hit = true
 		return el, values, failures, info
 	}
@@ -199,39 +225,61 @@ func (p *Processor) extractDOM(page *core.Page) (*Element, map[string][]string, 
 // assembleStream reads the automaton's captures with exactly the DOM
 // path's semantics: location priority, mandatory/multiple failure
 // detection, single-valued truncation, value rendering in document order.
-func (p *Processor) assembleStream(uri string, sc *streamx.Scratch) (*Element, map[string][]string, []Failure) {
+// The page's normalized values become one string, and its values one
+// slice that every component's values are capped sub-slices of (a
+// refinement that splits values may start a second one).
+func (p *Processor) assembleStream(uri string, st *streamState) (*Element, map[string][]string, []Failure) {
 	var failures []Failure
-	values := map[string][]string{}
+	sc := st.sc
+	st.text, st.ends, st.spans = st.text[:0], st.ends[:0], st.spans[:0]
 	for i, r := range p.Repo.Rules {
-		c := p.compiled[r.Name]
 		n := sc.RuleMatches(i)
 		if n == 0 {
 			if r.Optionality == rule.Mandatory {
 				failures = append(failures, p.missingFailure(uri, r.Name))
 			}
+			st.spans = append(st.spans, -1)
 			continue
 		}
 		maxVals := -1
-		want := n
 		if r.Multiplicity == rule.SingleValued && n > 1 {
 			failures = append(failures, p.multipleFailure(uri, r.Name, n))
-			maxVals, want = 1, 1
-		}
-		if !c.HasRefinement() {
-			// Unrefined rule: each capture is exactly one value, so the
-			// slice is sized up front and the only string materialized per
-			// value is the normalized one, straight out of the scratch
-			// arena.
-			vals := make([]string, 0, want)
-			sc.RuleValues(i, maxVals, func(raw []byte) {
-				vals = append(vals, textutil.NormalizeSpaceBytes(raw))
-			})
-			values[r.Name] = vals
-			continue
+			maxVals = 1
 		}
 		sc.RuleValues(i, maxVals, func(raw []byte) {
-			values[r.Name] = append(values[r.Name], c.RefineValue(textutil.NormalizeSpaceBytes(raw))...)
+			st.text = textutil.AppendNormalizeSpaceBytes(st.text, raw)
+			st.ends = append(st.ends, len(st.text))
 		})
+		st.spans = append(st.spans, len(st.ends))
+	}
+	text := string(st.text)
+	all := make([]string, 0, len(st.ends))
+	values := make(map[string][]string, len(p.Repo.Rules))
+	start, j := 0, 0
+	for i, r := range p.Repo.Rules {
+		if st.spans[i] < 0 {
+			continue
+		}
+		c := p.compiled[r.Name]
+		from := len(all)
+		for ; j < st.spans[i]; j++ {
+			v := text[start:st.ends[j]]
+			start = st.ends[j]
+			if c.HasRefinement() {
+				all = append(all, c.RefineValue(v)...)
+			} else {
+				all = append(all, v)
+			}
+		}
+		if len(all) > from {
+			values[r.Name] = all[from:len(all):len(all)]
+		} else {
+			// A refinement that kept nothing: the DOM path's nil.
+			values[r.Name] = nil
+		}
+	}
+	if cap(st.text) > maxRetainedText {
+		st.text = nil
 	}
 	return p.assemble(uri, values), values, failures
 }
@@ -254,43 +302,76 @@ func (p *Processor) multipleFailure(uri, component string, n int) Failure {
 
 // assemble builds the page element from the flat value map — shared by
 // both extraction paths so the aggregate XML cannot diverge between them.
+// The record is sized first, then built in one slab: its elements, their
+// child slices and the uri attribute take one allocation each.
 func (p *Processor) assemble(uri string, values map[string][]string) *Element {
-	el := NewElement(p.Repo.PageElementName())
-	el.SetAttr("uri", uri)
-	if len(p.Repo.Structure) > 0 {
-		for _, sn := range p.Repo.Structure {
-			buildStructured(el, sn, values)
-		}
-	} else {
-		// Default flat structure: components in rule order.
-		for _, r := range p.Repo.Rules {
-			for _, v := range values[r.Name] {
-				leaf := el.Add(NewElement(r.Name))
-				leaf.Text = v
-			}
-		}
+	n := 1
+	for _, sn := range p.layout {
+		n += subtreeSize(sn, values)
 	}
+	sl := &slab{els: make([]Element, n), kids: make([]*Element, n-1)}
+	el := sl.group(p.Repo.PageElementName(), p.layout, values)
+	el.Attrs = []Attr{{Name: "uri", Value: uri}}
 	return el
 }
 
-// buildStructured emits the enhanced nested structure recorded in the
-// repository (§4: iterative aggregation of component elements).
-func buildStructured(parent *Element, sn rule.StructureNode, values map[string][]string) {
-	if sn.Component != "" {
-		for _, v := range values[sn.Component] {
-			leaf := parent.Add(NewElement(sn.Name))
-			leaf.Text = v
+// slab hands out the elements and child-slice slots of one record.
+type slab struct {
+	els  []Element
+	kids []*Element
+}
+
+// group takes the next element of the slab, named name, and builds the
+// layout nodes under it (§4: iterative aggregation of component
+// elements). Its child slice has room for exactly its children; it is
+// nil when there are none, as for an element built child by child.
+func (sl *slab) group(name string, layout []rule.StructureNode, values map[string][]string) *Element {
+	e := &sl.els[0]
+	sl.els = sl.els[1:]
+	e.Name = name
+	k := 0
+	for _, sn := range layout {
+		if sn.Component != "" {
+			k += len(values[sn.Component])
+		} else {
+			k += min(subtreeSize(sn, values), 1)
 		}
-		return
 	}
-	group := NewElement(sn.Name)
+	if k == 0 {
+		return e
+	}
+	e.Children = sl.kids[:0:k]
+	sl.kids = sl.kids[k:]
+	for _, sn := range layout {
+		switch {
+		case sn.Component != "":
+			for _, v := range values[sn.Component] {
+				leaf := sl.group(sn.Name, nil, nil)
+				leaf.Text = v
+				e.Children = append(e.Children, leaf)
+			}
+		case subtreeSize(sn, values) > 0:
+			// Empty aggregates (all inner components absent) are omitted.
+			e.Children = append(e.Children, sl.group(sn.Name, sn.Children, values))
+		}
+	}
+	return e
+}
+
+// subtreeSize counts the elements sn puts in a record: its leaves, or
+// the aggregate and everything in it (none when it is empty).
+func subtreeSize(sn rule.StructureNode, values map[string][]string) int {
+	if sn.Component != "" {
+		return len(values[sn.Component])
+	}
+	n := 0
 	for _, child := range sn.Children {
-		buildStructured(group, child, values)
+		n += subtreeSize(child, values)
 	}
-	// Empty aggregates (all inner components absent) are omitted.
-	if len(group.Children) > 0 {
-		parent.Add(group)
+	if n == 0 {
+		return 0
 	}
+	return n + 1
 }
 
 // values renders one component value node as its extracted string(s):

@@ -162,8 +162,7 @@ func hasMarkup(p *core.Page) bool {
 }
 
 // pageMarkup is the markup a capture keeps: the raw source when the page
-// still holds it, else (a page built from a cached tree) the tree
-// rendered once. Rendered markup re-parses to the same tree.
+// still holds it, else (an eager page) the tree rendered once. Rendered markup re-parses to the same tree.
 func pageMarkup(p *core.Page) string {
 	if src, ok := p.Source(); ok {
 		return src

@@ -135,7 +135,10 @@ type Monitor struct {
 	byComponent map[string]int64
 
 	buffer map[string]*Sample // keyed by page URI
-	seq    int64
+	// spare is the last evicted sample, cleared, with its Golden map
+	// kept for the next new URI to reuse.
+	spare *Sample
+	seq   int64
 	// passing and failing hold every buffered sample, by its Failing
 	// state, in seq order.
 	passing, failing sampleList
@@ -168,6 +171,10 @@ func NewMonitor(cfg Config) *Monitor {
 // flat component values extracted from it, and the detected failures.
 // It returns whether the drift alarm is tripped, and whether this very
 // observation tripped it (the auto-repair trigger edge).
+//
+// The value slices become golden values as they are, not copied: an
+// extractor's values are immutable once returned, so the caller must not
+// modify them afterwards.
 func (m *Monitor) Observe(page *core.Page, values map[string][]string, failures []extract.Failure) (tripped, justTripped bool) {
 	failed := len(failures) > 0
 
@@ -203,7 +210,11 @@ func (m *Monitor) Observe(page *core.Page, values map[string][]string, failures 
 	if ok {
 		m.listOf(s).remove(s)
 	} else {
-		s = &Sample{Golden: map[string][]string{}}
+		s = m.spare
+		m.spare = nil
+		if s == nil {
+			s = &Sample{Golden: map[string][]string{}}
+		}
 		m.buffer[page.URI] = s
 	}
 	s.Page = page
@@ -214,7 +225,7 @@ func (m *Monitor) Observe(page *core.Page, values map[string][]string, failures 
 	m.listOf(s).push(s)
 	for comp, vals := range values {
 		if len(vals) > 0 && !componentFailed(failures, comp) {
-			s.Golden[comp] = append([]string(nil), vals...)
+			s.Golden[comp] = vals
 		}
 	}
 	m.evictLocked()
@@ -277,7 +288,7 @@ func (m *Monitor) listOf(s *Sample) *sampleList {
 // evictLocked drops least-recently-observed samples beyond BufferSize,
 // preferring to keep failing samples (they are the repair evidence): the
 // oldest passing sample goes first, the oldest failing one only when no
-// passing sample is left.
+// passing sample is left. The last victim, cleared, becomes the spare.
 func (m *Monitor) evictLocked() {
 	for len(m.buffer) > m.cfg.BufferSize {
 		victim := m.passing.head
@@ -286,6 +297,9 @@ func (m *Monitor) evictLocked() {
 		}
 		m.listOf(victim).remove(victim)
 		delete(m.buffer, victim.Page.URI)
+		clear(victim.Golden)
+		*victim = Sample{Golden: victim.Golden}
+		m.spare = victim
 	}
 }
 

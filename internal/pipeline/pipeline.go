@@ -13,12 +13,13 @@
 // end, so a site of any size flows through a fixed memory envelope.
 //
 // There is no emitter goroutine: the worker that finishes the oldest
-// unemitted page emits it together with every finished page behind it,
-// then flushes the sink once for that in-order run (so NDJSON lines
-// leave in one write per run, not one per page, and no finished line
-// waits on an unfinished page). Sink calls thus run on workers, one at a
-// time, and a sink panic is recovered and fails the run like a sink
-// error.
+// unemitted page emits it together with every finished page behind it.
+// The sink is flushed when the window drains: once no admitted page is
+// left to emit. A finished line so waits at most for the pages admitted
+// behind it (Buffer+Workers of them), never for input: a source that
+// blocks on its reader leaves nothing admitted, and the lines out so far
+// are flushed. Sink calls run on workers, one at a time, and a sink
+// panic is recovered and fails the run like a sink error.
 //
 // Stages are optional: a nil Classifier passes pages through unrouted
 // (fixed-repository extraction), a nil Extractor copies pages straight to
@@ -130,7 +131,8 @@ type Extractor interface {
 // Sink consumes finished items. Emit is called from one goroutine at a
 // time (a pipeline worker); an Emit error aborts the run (a broken sink
 // must stop the stream, not silently drop results). A sink with a
-// Flush() method is flushed after each in-order run of Emit calls.
+// Flush() method is flushed whenever the run's window drains: after an
+// Emit that left no admitted item unemitted.
 // Close is called exactly once after the last Emit of a successful run —
 // sinks that assemble an aggregate document write it there.
 type Sink interface {
@@ -231,12 +233,14 @@ func (s *Stats) observe(it *Item) {
 // source (a crawl, a request body) through a fixed in-flight window.
 //
 // Emission: there is no emitter goroutine. The worker that finishes the
-// window's head emits it and every consecutive finished item after it,
-// then calls the sink's Flush method, if it has one, once for that
-// in-order run, and re-checks the window before it lets go of the
-// emitting role. Sink calls therefore run on worker goroutines, one at a
-// time; a panicking Emit or Flush is recovered, reported through
-// OnPanic("sink", …) and fails the run.
+// window's head emits it and every consecutive finished item after it.
+// If that run emptied the window (no admitted item is left to emit), it
+// calls the sink's Flush method, if it has one, and re-checks the window
+// before it lets go of the emitting role; otherwise it leaves the flush
+// to whichever worker emits the window's last admitted item. Sink calls
+// therefore run on worker goroutines, one at a time; a panicking Emit or
+// Flush is recovered, reported through OnPanic("sink", …) and fails the
+// run.
 func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -346,8 +350,10 @@ type window struct {
 
 // finish files a processed item into the ring. If it is the head and no
 // worker is emitting, the caller takes the emitting role: it emits every
-// consecutive finished item, flushes once, and lets go of the role only
-// when the head is still unfinished after that flush.
+// consecutive finished item and lets go of the role once the head is
+// unfinished, flushing first when the window has drained (a space token
+// is held by every admitted, unemitted item, so an empty space channel
+// means the source has nothing in flight).
 func (w *window) finish(it *Item) {
 	w.mu.Lock()
 	w.ring[it.Seq%len(w.ring)] = it
@@ -362,7 +368,7 @@ func (w *window) finish(it *Item) {
 		if next != nil {
 			w.ring[w.head%len(w.ring)] = nil
 			w.head++
-		} else if flushed {
+		} else if flushed || len(w.space) > 0 {
 			w.emitting = false
 			w.mu.Unlock()
 			return

@@ -484,9 +484,7 @@ func TestNDJSONSourceNoResyncAfterOversize(t *testing.T) {
 type lineFlushCounter struct {
 	mu             sync.Mutex
 	lines, flushes int
-	flushed        int           // lines written before the last Flush
-	reached        chan struct{} // closed once flushed >= want
-	want           int
+	flushed        int // lines written before the last Flush
 }
 
 func (w *lineFlushCounter) Write(b []byte) (int, error) {
@@ -501,34 +499,41 @@ func (w *lineFlushCounter) Flush() {
 	defer w.mu.Unlock()
 	w.flushes++
 	w.flushed = w.lines
-	if w.reached != nil && w.flushed >= w.want {
-		close(w.reached)
-		w.reached = nil
+}
+
+// waitFlushed reports whether n lines were flushed within 10 seconds.
+func (w *lineFlushCounter) waitFlushed(n int) bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		w.mu.Lock()
+		done := w.flushed >= n
+		w.mu.Unlock()
+		if done {
+			return true
+		}
 	}
+	return false
 }
 
 func seqLine(dst []byte, it *Item) ([]byte, error) {
 	return append(fmt.Appendf(dst, "%d", it.Seq), '\n'), nil
 }
 
-// TestRunFlushesOncePerInOrderRun pins Run's flush policy over an
-// NDJSONSink: one Flush per in-order run of emitted lines, never one
-// that makes a finished line wait for an unfinished item.
-func TestRunFlushesOncePerInOrderRun(t *testing.T) {
+// TestRunFlushesWhenWindowDrains pins Run's flush policy over an
+// NDJSONSink: the sink is flushed when no admitted item is left to emit,
+// so a finished line never waits for input, and lines coalesce into one
+// flush while the source runs ahead.
+func TestRunFlushesWhenWindowDrains(t *testing.T) {
 	page := func(i int) *core.Page { return core.NewPageLazy(fmt.Sprintf("http://x/p%d", i), "<p>x</p>") }
 
 	// Latency neutrality: the source blocks after page k; lines 0…k are
 	// flushed before it unblocks.
 	t.Run("source blocks", func(t *testing.T) {
 		const k = 4
-		w := &lineFlushCounter{reached: make(chan struct{}), want: k + 1}
-		reached := w.reached
+		w := &lineFlushCounter{}
 		i := 0
 		source := sourceFunc(func(ctx context.Context) (*core.Page, error) {
 			if i == k+1 {
-				select {
-				case <-reached:
-				case <-time.After(10 * time.Second):
+				if !w.waitFlushed(k + 1) {
 					t.Errorf("lines 0…%d not flushed while the source blocked", k)
 				}
 				return nil, io.EOF
@@ -544,9 +549,79 @@ func TestRunFlushesOncePerInOrderRun(t *testing.T) {
 		}
 	})
 
+	// Lockstep: a client that sends page k only once it has received
+	// line k-1 gets every line, at any worker count.
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("lockstep %d-worker", workers), func(t *testing.T) {
+			const pages = 8
+			w := &lineFlushCounter{}
+			i := 0
+			source := sourceFunc(func(ctx context.Context) (*core.Page, error) {
+				if i > 0 && !w.waitFlushed(i) {
+					t.Errorf("line %d not flushed before page %d was sent", i-1, i)
+					return nil, io.EOF
+				}
+				if i == pages {
+					return nil, io.EOF
+				}
+				i++
+				return page(i - 1), nil
+			})
+			if _, err := Run(context.Background(), Config{Workers: workers}, source, NewNDJSONSink(w, seqLine)); err != nil {
+				t.Fatal(err)
+			}
+			if w.lines != pages || w.flushed != pages {
+				t.Fatalf("%d lines, %d flushed; want %d flushed", w.lines, w.flushed, pages)
+			}
+		})
+	}
+
+	// Running ahead at one worker: page k is extracted only once the
+	// source has admitted page k+1, so the window never drains before
+	// the end and the lines share a handful of flushes.
+	t.Run("runs ahead 1 worker", func(t *testing.T) {
+		const pages = 64
+		asked := make([]chan struct{}, pages+1) // asked[j] closes when Next is called for page j
+		for j := range asked {
+			asked[j] = make(chan struct{})
+		}
+		var pp []*core.Page
+		for i := 0; i < pages; i++ {
+			pp = append(pp, page(i))
+		}
+		next := 0
+		source := sourceFunc(func(ctx context.Context) (*core.Page, error) {
+			close(asked[next])
+			if next == pages {
+				return nil, io.EOF
+			}
+			next++
+			return pp[next-1], nil
+		})
+		w := &lineFlushCounter{}
+		_, err := Run(context.Background(), Config{
+			Workers: 1,
+			Extractor: extractorFunc(func(ctx context.Context, repo string, p *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
+				var k int
+				fmt.Sscanf(p.URI, "http://x/p%d", &k)
+				<-asked[min(k+2, pages)]
+				return &extract.Element{}, nil, nil, nil
+			}),
+		}, source, NewNDJSONSink(w, seqLine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.lines != pages || w.flushed != pages {
+			t.Fatalf("%d lines, %d flushed; want all %d flushed", w.lines, w.flushed, pages)
+		}
+		if per := float64(w.flushes) / pages; per > 0.5 {
+			t.Fatalf("%d flushes for %d pages (%.2f per page), want at most 0.5", w.flushes, pages, per)
+		}
+	})
+
 	// Coalescing: with the source always ready and the head held back
 	// until the last page is being extracted, the lines finished behind
-	// the head leave with it in one run — fewer flushes than lines.
+	// the head leave together — fewer flushes than lines.
 	t.Run("coalesces", func(t *testing.T) {
 		const pages = 6
 		lastStarted := make(chan struct{})

@@ -442,11 +442,35 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			slog.Int("status", sw.status),
 			slog.Int64("bytes", sw.bytes),
 			slog.Duration("duration", time.Since(start)))
-		if repo := r.URL.Query().Get("repo"); repo != "" {
+		// A handler that wanted the query parsed it itself; the log only
+		// looks up one key, without building the url.Values map.
+		if repo := queryValue(r.URL.RawQuery, "repo"); repo != "" {
 			attrs = append(attrs, slog.String("repo", repo))
 		}
 		s.logger().LogAttrs(ctx, level, "request", attrs...)
 	})
+}
+
+// queryValue returns url.ParseQuery(raw).Get(key) without building the
+// map: the first well-formed key=value pair whose unescaped key is key
+// gives the unescaped value. Pairs holding a semicolon or a bad escape
+// are skipped, as ParseQuery skips them.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------------
@@ -762,64 +786,46 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 // instead of collapsing every anonymous request into one entry whose
 // golden values would mix unrelated pages.
 func syntheticURI(html []byte) string {
-	return syntheticURIFromKey(PageKeyOf(html))
-}
-
-// syntheticURIFromKey is the single source of the synthetic-URI format,
-// so a body names the same URI whether it reaches the parser through the
-// page cache or not.
-func syntheticURIFromKey(key PageKey) string {
+	key := PageKeyOf(html)
 	return fmt.Sprintf("request:%x", key[:8])
 }
 
-// pageFor assembles the page for one request body, drawing the parsed
-// document from the page cache when an identical body was seen before.
-// The URI stays per-request — only the parse is shared — and an empty
-// URI is derived from the body hash like syntheticURI.
-func (s *Server) pageFor(uri string, body []byte) *core.Page {
-	if s.PageCache == nil {
-		if uri == "" {
-			uri = syntheticURI(body)
-		}
-		return core.NewPageLazy(uri, string(body))
-	}
-	return s.pageForKey(uri, PageKeyOf(body), int64(len(body)), func() string { return string(body) })
-}
-
-// pageForString is pageFor for bodies already held as strings (the page
-// lines of /extract/batch and /ingest, which so share /extract's page
-// cache and synthetic-URI naming): hashing pays the one unavoidable
-// byte-slice conversion, but the original string feeds the parser
-// directly, so no second full-body copy.
-func (s *Server) pageForString(uri, html string) *core.Page {
-	if s.PageCache == nil {
-		if uri == "" {
-			uri = syntheticURI([]byte(html))
-		}
-		return core.NewPageLazy(uri, html)
-	}
-	return s.pageForKey(uri, PageKeyOf([]byte(html)), int64(len(html)), func() string { return html })
-}
-
-// pageForKey finishes a cache-enabled page lookup; src is only invoked on
-// a miss, so the hit path never materializes the body string.
-func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() string) *core.Page {
+// pageFor assembles the lazy page for one request body (/extract, and
+// the page lines of /extract/batch and /ingest). The URI stays
+// per-request; an empty one is derived from the body hash like
+// syntheticURI. The page cache is probed only when some consumer needs
+// the tree (the general XPath fallback, rendering): the page's parser
+// looks the body up and admits the tree it builds, so a stream-path page
+// never hashes or copies its body, and identical bodies that do need a
+// tree share one parse.
+func (s *Server) pageFor(uri, html string) *core.Page {
 	if uri == "" {
-		uri = syntheticURIFromKey(key)
+		uri = syntheticURI([]byte(html))
 	}
-	if doc, ok := s.PageCache.Get(key); ok {
-		s.Metrics.PageCache(true)
-		return &core.Page{URI: uri, Doc: doc}
+	page := core.NewPageLazy(uri, html)
+	if s.PageCache != nil {
+		page.SetParser(cachedParser{s})
 	}
-	s.Metrics.PageCache(false)
-	// Lazy page: the streaming extractor usually never parses it, so the
-	// cache only admits trees that some consumer genuinely built (the
-	// general XPath fallback, rendering). Induction capture keeps the raw
-	// source instead of a tree. Compiled rule
-	// *programs* are cached per repository version instead.
-	page := core.NewPageLazy(uri, src())
-	page.SetOnParse(func(doc *dom.Node) { s.PageCache.Put(key, doc, size) })
 	return page
+}
+
+// cachedParser is the core.Parser of pages served while the page cache
+// is on. Compiled rule *programs* are cached per repository version
+// instead.
+type cachedParser struct{ s *Server }
+
+// Parse returns the cached tree of src, or parses src and admits it.
+func (p cachedParser) Parse(src string) *dom.Node {
+	key := PageKeyOf([]byte(src))
+	cache := p.s.PageCache
+	if doc, ok := cache.Get(key); ok {
+		p.s.Metrics.PageCache(true)
+		return doc
+	}
+	p.s.Metrics.PageCache(false)
+	doc := dom.Parse(src)
+	cache.Put(key, doc, int64(len(src)))
+	return doc
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) error {
@@ -832,7 +838,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) error {
 	}
 	q := r.URL.Query()
 	repo := q.Get("repo")
-	page := s.pageFor(q.Get("uri"), body)
+	page := s.pageFor(q.Get("uri"), string(body))
 	e, err := s.resolveRepo(r.Context(), repo, page)
 	if err != nil {
 		return err
@@ -887,7 +893,7 @@ func (s *Server) runPipeline(ctx context.Context, classify pipeline.Classifier, 
 func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify pipeline.Classifier, body io.Reader,
 	line func(dst []byte, it *pipeline.Item) ([]byte, error),
 	tail func(stats pipeline.Stats, wrote bool, err error) []byte) error {
-	src := pipeline.NewNDJSONSource(body, int(s.maxBody()), s.pageForString)
+	src := pipeline.NewNDJSONSource(body, int(s.maxBody()), s.pageFor)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	sink := pipeline.NewNDJSONSink(w, line)
 	stats, err := s.runPipeline(r.Context(), classify, src, sink)
@@ -909,7 +915,7 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify p
 // the explicit ?repo= when present (validated against the registry),
 // else the signature router.
 func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error) {
-	if name := r.URL.Query().Get("repo"); name != "" {
+	if name := queryValue(r.URL.RawQuery, "repo"); name != "" {
 		if _, ok := s.Registry.Get(name); !ok {
 			return nil, errf(http.StatusNotFound, "repository %q not loaded", name)
 		}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -96,11 +97,58 @@ func TestIngestAllocsPerPage(t *testing.T) {
 		t.Errorf("%d page-cache hits: the measured path must parse nothing twice", hits)
 	}
 	t.Logf("/ingest: %.1f allocs/page", perPage)
-	// Measured at 54.1–54.3 allocs/page (go1.24, -cpu 1, 2 and 4); the
+	// Measured at 21.9–22.1 allocs/page (go1.24, -cpu 1, 2 and 4); the
 	// budget leaves room for sync.Pool refills after a GC, not for a new
 	// per-page allocation.
-	const budget = 55
+	const budget = 23
 	if perPage > budget {
 		t.Errorf("/ingest allocates %.1f/page, budget %d", perPage, budget)
+	}
+}
+
+// TestExtractAllocsPerRequest pins the heap allocations of one served
+// /extract request: a movies page posted with ?repo= and an escaped ?uri= through
+// Server.Handler() — body read, query parse, stream extract, drift
+// observe, metrics, request log, envelope encode — with an in-memory
+// request and a discarding ResponseWriter.
+func TestExtractAllocsPerRequest(t *testing.T) {
+	movies := corpus.GenerateMovies(corpus.DefaultMovieProfile(81, 24))
+	srv := NewServer(2, 0, nil)
+	defer srv.Close()
+	srv.Log = obs.NopLogger()
+	if _, err := srv.LoadRepo(movies.Name, buildRepoWithSignature(t, movies)); err != nil {
+		t.Fatal(err)
+	}
+	html := []byte(dom.Render(movies.Pages[0].Doc))
+	target := "/extract?repo=" + movies.Name + "&uri=http%3A%2F%2Fx%2Fp1"
+	h := srv.Handler()
+	rd := bytes.NewReader(html)
+	req := httptest.NewRequest(http.MethodPost, target, io.NopCloser(rd))
+	w := &discardWriter{header: http.Header{}}
+	post := func() {
+		rd.Reset(html)
+		w.lines = 0
+		h.ServeHTTP(w, req)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(html)))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"uri": "http://x/p1"`) {
+		t.Fatalf("/extract = %d %s", rec.Code, rec.Body.String())
+	}
+
+	for i := 0; i < 3; i++ {
+		post()
+	}
+	allocs := testing.AllocsPerRun(50, post)
+	if w.lines == 0 {
+		t.Fatal("measured request wrote no response")
+	}
+	t.Logf("/extract: %.1f allocs/request", allocs)
+	// Measured at 31.0 allocs/request (go1.24, -cpu 1, 2 and 4); the
+	// budget leaves one for a pool refill after a GC.
+	const budget = 32
+	if allocs > budget {
+		t.Errorf("/extract allocates %.1f/request, budget %d", allocs, budget)
 	}
 }

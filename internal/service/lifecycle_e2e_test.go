@@ -2,10 +2,13 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dom"
 	"repro/internal/lifecycle"
+	"repro/internal/pipeline"
 	"repro/internal/webfetch"
 )
 
@@ -368,6 +372,72 @@ func TestLifecycleEndpointsManualRepair(t *testing.T) {
 	for _, p := range drifted[:4] {
 		if fails := postPage(t, ts.URL, cl.Name, p); len(fails) > 0 {
 			t.Fatalf("post-promote failures: %v", fails)
+		}
+	}
+}
+
+// TestIngestConcurrentRepair: the drift monitor keeps each page's
+// extracted value slices as its golden values, and reuses the sample and
+// golden map it evicts. Under -race, /ingest streams passing and drifted
+// pages (more than the sample buffer holds, so samples are evicted and
+// reused) while POST /repos/{name}/repair reads the golden values of the
+// same monitor.
+func TestIngestConcurrentRepair(t *testing.T) {
+	cl, repo := buildMoviesRepo(t, 19, 40)
+	_, ts := newTestServer(t)
+	postJSONRepo(t, ts.URL, repo, "")
+	drifted, _ := corpus.InjectDrift(cl, "runtime", corpus.DriftRelabel, 1.0, 7)
+
+	var body strings.Builder
+	enc := json.NewEncoder(&body)
+	for i := 0; i < 2; i++ {
+		for _, pages := range [][]*core.Page{cl.Pages, drifted} {
+			for _, p := range pages {
+				uri := fmt.Sprintf("%s?pass=%d", p.URI, i)
+				if err := enc.Encode(pipeline.PageLine{URI: uri, HTML: dom.Render(p.Doc)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	ingest := func() {
+		resp, err := http.Post(ts.URL+"/ingest?repo="+cl.Name, "application/x-ndjson", strings.NewReader(body.String()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		lines, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(lines), `"done":true`) {
+			t.Errorf("/ingest: %d %v", resp.StatusCode, err)
+		}
+	}
+	// One pass first, so the monitor holds failing evidence to repair from.
+	ingest()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			ingest()
+		}
+	}()
+	repairs := 0
+	for {
+		var rr repairResponse
+		if code := postJSON(t, ts.URL+"/repos/"+cl.Name+"/repair?promote=never", &rr); code != http.StatusOK {
+			t.Fatalf("repair during /ingest: status %d", code)
+		}
+		repairs++
+		select {
+		case <-done:
+			wg.Wait()
+			t.Logf("%d repairs overlapped 3 ingest passes", repairs)
+			return
+		default:
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestPageCacheDisabled(t *testing.T) {
 	srv := NewServer(1, 1, nil)
 	defer srv.Close()
 	srv.PageCache = nil
-	body := []byte("<html><body><p>x</p></body></html>")
+	body := "<html><body><p>x</p></body></html>"
 	p1 := srv.pageFor("", body)
 	p2 := srv.pageFor("", body)
 	if p1.Doc != nil || p2.Doc != nil {
@@ -94,31 +94,41 @@ func TestPageCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestPageForSharesParseKeepsURI: pageFor probes the page cache only
+// when a tree is built. Identical bodies that both need a tree share one
+// parse under their own URIs; a page whose tree nobody asks for neither
+// hits nor misses.
 func TestPageForSharesParseKeepsURI(t *testing.T) {
 	srv := NewServer(1, 1, nil)
 	defer srv.Close()
-	body := []byte("<html><body><p>shared</p></body></html>")
-	a := srv.pageFor("http://site/a", body)
-	if a.Doc != nil {
-		t.Fatal("cache miss should produce a lazy page")
+	counters := func() (int64, int64) {
+		snap := srv.Metrics.Snapshot()
+		return snap.PageCacheHits, snap.PageCacheMisses
 	}
-	// Materializing the tree admits it to the cache; the next identical
-	// body draws the same document on the hit path.
-	adoc := a.Document()
+	body := "<html><body><p>shared</p></body></html>"
+	a := srv.pageFor("http://site/a", body)
 	b := srv.pageFor("http://site/b", body)
-	if b.Doc != adoc {
+	if a.Doc != nil || b.Doc != nil {
+		t.Fatal("pages should stay lazy until a consumer parses")
+	}
+	if hits, misses := counters(); hits != 0 || misses != 0 {
+		t.Fatalf("cache counters hits=%d misses=%d before any parse, want 0/0", hits, misses)
+	}
+	// Materializing a's tree misses and admits it; b's tree is drawn
+	// from the cache.
+	adoc := a.Document()
+	if b.Document() != adoc {
 		t.Fatal("identical bodies should share one parsed document")
 	}
 	if a.URI != "http://site/a" || b.URI != "http://site/b" {
 		t.Fatalf("URIs not preserved: %q / %q", a.URI, b.URI)
 	}
-	other := srv.pageFor("http://site/c", []byte("<html><body><p>different</p></body></html>"))
+	other := srv.pageFor("http://site/c", "<html><body><p>different</p></body></html>")
 	if other.Document() == adoc {
 		t.Fatal("different bodies must not share a document")
 	}
-	snap := srv.Metrics.Snapshot()
-	if snap.PageCacheHits != 1 || snap.PageCacheMisses != 2 {
-		t.Fatalf("cache counters hits=%d misses=%d, want 1/2", snap.PageCacheHits, snap.PageCacheMisses)
+	if hits, misses := counters(); hits != 1 || misses != 2 {
+		t.Fatalf("cache counters hits=%d misses=%d, want 1/2", hits, misses)
 	}
 }
 
@@ -150,9 +160,9 @@ func TestPageCacheConcurrentAccess(t *testing.T) {
 
 // TestExtractEndpointUsesPageCache drives the real handler with repeated
 // identical bodies. A stream-eligible repo extracts straight off the raw
-// bytes — no tree is built, so the page cache stays cold and the stream
-// counter records the hits. A general-XPath repo parses on the first
-// request, admits the tree, and the second request reuses it.
+// bytes — no tree is built, so the page cache is never probed: neither a
+// hit nor a miss. A general-XPath repo parses on the first request,
+// admits the tree, and the second request reuses it.
 func TestExtractEndpointUsesPageCache(t *testing.T) {
 	cl, repo := buildMoviesRepo(t, 21, 12)
 	srv, ts := newTestServer(t)
@@ -196,8 +206,8 @@ func TestExtractEndpointUsesPageCache(t *testing.T) {
 		t.Fatalf("stream counters hits=%d fallbacks=%d, want 2/0",
 			snap.StreamHits, snap.StreamFallbacks)
 	}
-	if snap.PageCacheHits != 0 || snap.PageCacheMisses != 2 {
-		t.Fatalf("cache counters hits=%d misses=%d, want 0/2 (stream path builds no tree)",
+	if snap.PageCacheHits != 0 || snap.PageCacheMisses != 0 {
+		t.Fatalf("cache counters hits=%d misses=%d, want 0/0 (stream path builds no tree)",
 			snap.PageCacheHits, snap.PageCacheMisses)
 	}
 
@@ -205,8 +215,8 @@ func TestExtractEndpointUsesPageCache(t *testing.T) {
 		t.Fatal("cached extraction differs from the first")
 	}
 	snap = srv.Metrics.Snapshot()
-	if snap.PageCacheHits != 1 || snap.PageCacheMisses != 3 {
-		t.Fatalf("cache counters hits=%d misses=%d, want 1/3", snap.PageCacheHits, snap.PageCacheMisses)
+	if snap.PageCacheHits != 1 || snap.PageCacheMisses != 1 {
+		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", snap.PageCacheHits, snap.PageCacheMisses)
 	}
 	if snap.StreamFallbackReasons["general-xpath"] != 2 {
 		t.Fatalf("fallback reasons = %v, want general-xpath=2", snap.StreamFallbackReasons)

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"runtime/pprof"
 	"slices"
@@ -135,6 +137,74 @@ func TestRouteUnmatchedAndWrongMethod(t *testing.T) {
 	}
 	if snap := srv.Metrics.Snapshot(); len(snap.Requests) != 0 {
 		t.Errorf("requests counted %v, want none", snap.Requests)
+	}
+}
+
+// TestRequestLogRepo: the request log's repo attribute is the decoded
+// ?repo= value on every route — one whose handler parses the query
+// (/extract, here refused with 404 before any extraction), one that
+// reads only repo (/ingest), and one that never looks at the query
+// (/healthz).
+func TestRequestLogRepo(t *testing.T) {
+	srv := NewServer(1, 1, nil)
+	defer srv.Close()
+	var logs bytes.Buffer
+	srv.Log = slog.New(slog.NewJSONHandler(&logs, nil))
+	h := srv.Handler()
+	for _, tc := range []struct{ method, target, want string }{
+		{http.MethodPost, "/extract?uri=u&repo=my%20repo%2Bx", "my repo+x"},
+		{http.MethodPost, "/ingest?repo=a+b", "a b"},
+		{http.MethodGet, "/healthz?x=1;y&repo=%zz&re%70o=caf%C3%A9&repo=second", "café"},
+		{http.MethodGet, "/healthz?other=repo", ""},
+	} {
+		logs.Reset()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(tc.method, tc.target, strings.NewReader("<p>x</p>")))
+		var line struct {
+			Msg  string `json:"msg"`
+			Repo string `json:"repo"`
+		}
+		sc := bufio.NewScanner(&logs)
+		for sc.Scan() && line.Msg != "request" {
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if line.Msg != "request" || line.Repo != tc.want {
+			t.Errorf("%s %s: request log %+v, want repo %q", tc.method, tc.target, line, tc.want)
+		}
+	}
+}
+
+// TestQueryValueMatchesParseQuery: queryValue(raw, key) is
+// url.ParseQuery(raw).Get(key) for arbitrary raw queries.
+func TestQueryValueMatchesParseQuery(t *testing.T) {
+	cases := []string{
+		"", "repo", "repo=", "repo=a&repo=b", "a=1&repo=x%20y", "repo=%zz&repo=ok",
+		"re%70o=1", "repo=a;b&repo=c", "&&repo=+plus+", "%=x&repo=%41", "repo=a=b",
+	}
+	f := func(raw string) bool {
+		want := ""
+		if v, _ := url.ParseQuery(raw); v != nil {
+			want = v.Get("repo")
+		}
+		return queryValue(raw, "repo") == want
+	}
+	for _, raw := range cases {
+		if !f(raw) {
+			t.Errorf("queryValue(%q) = %q, want ParseQuery's", raw, queryValue(raw, "repo"))
+		}
+	}
+	// Random queries over an alphabet dense in separators and escapes.
+	alphabet := []string{"repo", "=", "&", ";", "%", "2", "0", "z", "+", "a", "%70"}
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		if raw := b.String(); !f(raw) {
+			t.Fatalf("queryValue(%q) = %q, want ParseQuery's", raw, queryValue(raw, "repo"))
+		}
 	}
 }
 

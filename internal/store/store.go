@@ -119,6 +119,9 @@ type Store struct {
 	walBytes int64
 	closed   bool
 	frame    []byte // reused frame buffer (header + envelope), guarded by mu
+	// boot is snapshot.json as Open read it, kept for the first
+	// LoadSnapshot (nil once used, or after a Compact); guarded by mu.
+	boot *snapshotFile
 
 	// Group commit (FsyncAlways): appenders bump wantSeq and wait on
 	// cond until the syncer goroutine's fsync covers their record.
@@ -181,6 +184,7 @@ func Open(opts Options) (*Store, error) {
 	} else if ok {
 		s.seq = snap.Seq
 		s.snapTime.Store(snap.Saved.UnixNano())
+		s.boot = snap
 	}
 
 	// Repair and index every log, rotated ones included.
@@ -573,11 +577,19 @@ func (s *Store) replayFile(path string, fn func(Record) error, n *int64) error {
 }
 
 // LoadSnapshot unmarshals snapshot.json's state into into, reporting
-// whether a snapshot existed.
+// whether a snapshot existed. The first call after Open decodes the
+// snapshot Open already read instead of reading the file again.
 func (s *Store) LoadSnapshot(into any) (bool, error) {
-	snap, ok, err := s.readSnapshotFile()
-	if err != nil || !ok {
-		return ok, err
+	s.mu.Lock()
+	snap := s.boot
+	s.boot = nil
+	s.mu.Unlock()
+	if snap == nil {
+		var ok bool
+		var err error
+		if snap, ok, err = s.readSnapshotFile(); err != nil || !ok {
+			return ok, err
+		}
 	}
 	if err := json.Unmarshal(snap.State, into); err != nil {
 		return true, fmt.Errorf("store: decoding snapshot state: %w", err)
@@ -619,6 +631,7 @@ func (s *Store) Compact(capture func() (any, error)) error {
 		s.mu.Unlock()
 		return errors.New("store: closed")
 	}
+	s.boot = nil // the snapshot written below supersedes it
 	if err := s.w.Flush(); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("store: %w", err)

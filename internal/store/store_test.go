@@ -212,6 +212,31 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadOncePerBoot: LoadSnapshot decodes the snapshot Open
+// read, so the state loads even when snapshot.json is renamed between
+// the two; only a later call goes back to the file.
+func TestSnapshotReadOncePerBoot(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, FsyncNever)
+	if err := s.Compact(func() (any, error) { return map[string]int{"applied": 7}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := openTest(t, dir, FsyncNever)
+	defer s2.Close()
+	if err := os.Rename(filepath.Join(dir, snapName), filepath.Join(dir, "moved.json")); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]int
+	if ok, err := s2.LoadSnapshot(&got); err != nil || !ok || got["applied"] != 7 {
+		t.Fatalf("LoadSnapshot after rename = %v, %v, %v; want the state Open read", got, ok, err)
+	}
+	if ok, err := s2.LoadSnapshot(&got); err != nil || ok {
+		t.Fatalf("second LoadSnapshot = %v, %v; want no snapshot (the file is gone)", ok, err)
+	}
+}
+
 func TestCrashMidCompactionReplaysRotatedWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, FsyncNever)

@@ -36,16 +36,14 @@ func NormalizeSpace(s string) string {
 	return b.String()
 }
 
-// NormalizeSpaceBytes is NormalizeSpace over a byte slice, producing the
-// identical string without an intermediate string conversion — the
-// streaming extractor normalizes captured values straight out of its
-// arena. ASCII runs copy byte-wise; multi-byte runes decode only to ask
-// unicode.IsSpace (U+0085, U+00A0, the Unicode space property), and
-// invalid UTF-8 collapses to U+FFFD exactly as NormalizeSpace's
-// rune-range loop does.
-func NormalizeSpaceBytes(b []byte) string {
-	var out strings.Builder
-	out.Grow(len(b))
+// AppendNormalizeSpaceBytes appends NormalizeSpace(string(b)) to dst
+// without an intermediate string — the streaming extractor normalizes
+// captured values straight out of its arena, and one page's values
+// share one buffer. ASCII runs copy byte-wise; multi-byte runes decode
+// only to ask unicode.IsSpace (U+0085, U+00A0, the Unicode space
+// property), and invalid UTF-8 collapses to U+FFFD exactly as
+// NormalizeSpace's rune-range loop does.
+func AppendNormalizeSpaceBytes(dst, b []byte) []byte {
 	inSpace := false
 	started := false
 	for i := 0; i < len(b); {
@@ -57,11 +55,11 @@ func NormalizeSpaceBytes(b []byte) string {
 				continue
 			}
 			if inSpace && started {
-				out.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
 			inSpace = false
 			started = true
-			out.WriteByte(c)
+			dst = append(dst, c)
 			i++
 			continue
 		}
@@ -72,18 +70,18 @@ func NormalizeSpaceBytes(b []byte) string {
 			continue
 		}
 		if inSpace && started {
-			out.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
 		inSpace = false
 		started = true
 		if r == utf8.RuneError && size == 1 {
-			out.WriteRune(utf8.RuneError)
+			dst = utf8.AppendRune(dst, utf8.RuneError)
 		} else {
-			out.Write(b[i : i+size])
+			dst = append(dst, b[i:i+size]...)
 		}
 		i += size
 	}
-	return out.String()
+	return dst
 }
 
 // Tokens splits s into lower-cased alphanumeric word tokens. Used by the

@@ -86,22 +86,24 @@ func TestTokensAreLowerAlnum(t *testing.T) {
 	}
 }
 
-// TestNormalizeSpaceBytesEquivalence pins NormalizeSpaceBytes(b) ==
-// NormalizeSpace(string(b)) for arbitrary bytes — the streaming extractor
-// depends on byte-identical normalization to keep its differential
-// guarantee against the DOM path.
+// TestNormalizeSpaceBytesEquivalence pins AppendNormalizeSpaceBytes(dst,
+// b) == dst + NormalizeSpace(string(b)) for arbitrary bytes — the
+// streaming extractor depends on byte-identical normalization to keep
+// its differential guarantee against the DOM path, and on appending
+// leaving the bytes already in dst alone.
 func TestNormalizeSpaceBytesEquivalence(t *testing.T) {
 	cases := []string{
-		"", "   ", " a  b\tc\nd ", "a b   c", "é èü",
+		"", "   ", " a  b\tc\nd ", "a b   c", "é èü",
 		"\x80\xff bro\xc3(ken", "pre\vformatted\ftext", "né e",
 	}
+	const prefix = "kept "
 	f := func(b []byte) bool {
-		return NormalizeSpaceBytes(b) == NormalizeSpace(string(b))
+		return string(AppendNormalizeSpaceBytes([]byte(prefix), b)) == prefix+NormalizeSpace(string(b))
 	}
 	for _, s := range cases {
 		if !f([]byte(s)) {
-			t.Errorf("NormalizeSpaceBytes(%q) = %q, want %q",
-				s, NormalizeSpaceBytes([]byte(s)), NormalizeSpace(s))
+			t.Errorf("AppendNormalizeSpaceBytes(%q, %q) = %q, want %q", prefix,
+				s, AppendNormalizeSpaceBytes([]byte(prefix), []byte(s)), prefix+NormalizeSpace(s))
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {
