@@ -102,7 +102,7 @@ func oldTrimRarest(m map[string]int, cap int) (removed int) {
 	return removed
 }
 
-// TestTrimRarestMatchesLoop: the one-pass trim keeps exactly the entries
+// TestTrimRarestMatchesLoop: the sorted trim keeps exactly the entries
 // the per-key loop keeps and reports the same removed total, on maps
 // dense in count ties.
 func TestTrimRarestMatchesLoop(t *testing.T) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -179,48 +180,21 @@ func (s *Signature) Add(f Features) {
 }
 
 // trimRarest drops lowest-count entries (lowest key first among equal
-// counts) until the map fits the cap, choosing them all in one pass over
-// the map, and reports the total count removed so callers can adjust
-// cached sums.
+// counts) until the map fits the cap, choosing them all with one sort,
+// and reports the total count removed so callers can adjust cached sums.
 func trimRarest(m map[string]int, cap int) (removed int) {
 	excess := len(m) - cap
 	if excess <= 0 {
 		return 0
 	}
-	// victims is a max-heap of the excess rarest entries seen so far; its
-	// root, the least rare of them, gives way to any rarer entry.
-	victims := make([]keyCount, 0, excess)
+	all := make([]keyCount, 0, len(m))
 	for k, n := range m {
-		e := keyCount{k, n}
-		switch {
-		case len(victims) < excess:
-			victims = append(victims, e)
-			for i := len(victims) - 1; i > 0; {
-				up := (i - 1) / 2
-				if !victims[up].rarer(victims[i]) {
-					break
-				}
-				victims[up], victims[i] = victims[i], victims[up]
-				i = up
-			}
-		case e.rarer(victims[0]):
-			victims[0] = e
-			for i := 0; ; {
-				top := i
-				for _, c := range [2]int{2*i + 1, 2*i + 2} {
-					if c < len(victims) && victims[top].rarer(victims[c]) {
-						top = c
-					}
-				}
-				if top == i {
-					break
-				}
-				victims[top], victims[i] = victims[i], victims[top]
-				i = top
-			}
-		}
+		all = append(all, keyCount{k, n})
 	}
-	for _, e := range victims {
+	slices.SortFunc(all, func(a, b keyCount) int {
+		return cmp.Or(cmp.Compare(a.n, b.n), strings.Compare(a.key, b.key))
+	})
+	for _, e := range all[:excess] {
 		delete(m, e.key)
 		removed += e.n
 	}
@@ -231,12 +205,6 @@ func trimRarest(m map[string]int, cap int) (removed int) {
 type keyCount struct {
 	key string
 	n   int
-}
-
-// rarer orders entries as trimRarest evicts them: lower count first,
-// then lower key.
-func (a keyCount) rarer(b keyCount) bool {
-	return a.n < b.n || (a.n == b.n && a.key < b.key)
 }
 
 // joinPattern renders a normalized segment list as one pattern key.

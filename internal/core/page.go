@@ -21,14 +21,8 @@ type Page struct {
 
 	src     string
 	lazy    bool
-	parser  Parser
+	parse   func(src string) *dom.Node
 	onParse func(*dom.Node)
-}
-
-// Parser builds a lazy page's tree from its source. dom.Parse is the
-// default; the service puts its page cache in front of it.
-type Parser interface {
-	Parse(src string) *dom.Node
 }
 
 // NewPage parses src into a Page.
@@ -55,11 +49,11 @@ func (p *Page) SetOnParse(fn func(*dom.Node)) {
 	p.onParse = fn
 }
 
-// SetParser makes Document build the tree with ps instead of dom.Parse,
-// so whatever ps does per tree (a cache lookup, hashing the source) is
-// paid only by pages some consumer parses.
-func (p *Page) SetParser(ps Parser) {
-	p.parser = ps
+// SetParser makes Document build the tree with parse instead of
+// dom.Parse, so whatever parse does per tree (a cache lookup, hashing
+// the source) is paid only by pages some consumer parses.
+func (p *Page) SetParser(parse func(src string) *dom.Node) {
+	p.parse = parse
 }
 
 // Document returns the parsed tree, materializing it on first use for lazy
@@ -67,8 +61,8 @@ func (p *Page) SetParser(ps Parser) {
 // placeholder pages on pipeline error paths — those never carry source).
 func (p *Page) Document() *dom.Node {
 	if p.Doc == nil && p.lazy {
-		if p.parser != nil {
-			p.Doc = p.parser.Parse(p.src)
+		if p.parse != nil {
+			p.Doc = p.parse(p.src)
 		} else {
 			p.Doc = dom.Parse(p.src)
 		}

@@ -14,12 +14,14 @@
 //
 // There is no emitter goroutine: the worker that finishes the oldest
 // unemitted page emits it together with every finished page behind it.
-// The sink is flushed when the window drains: once no admitted page is
-// left to emit. A finished line so waits at most for the pages admitted
-// behind it (Buffer+Workers of them), never for input: a source that
-// blocks on its reader leaves nothing admitted, and the lines out so far
-// are flushed. Sink calls run on workers, one at a time, and a sink
-// panic is recovered and fails the run like a sink error.
+// The sink is flushed when the window drains (no admitted page is left
+// to emit) or once every page admitted when the oldest unflushed line
+// went out has been emitted. A finished line so waits at most for the
+// pages admitted behind it (fewer than Buffer+Workers), never for input:
+// a source that blocks on its reader leaves nothing admitted, and the
+// lines out so far are flushed. Sink calls run on workers, one at a
+// time, and a sink panic is recovered and fails the run like a sink
+// error.
 //
 // Stages are optional: a nil Classifier passes pages through unrouted
 // (fixed-repository extraction), a nil Extractor copies pages straight to
@@ -131,8 +133,10 @@ type Extractor interface {
 // Sink consumes finished items. Emit is called from one goroutine at a
 // time (a pipeline worker); an Emit error aborts the run (a broken sink
 // must stop the stream, not silently drop results). A sink with a
-// Flush() method is flushed whenever the run's window drains: after an
-// Emit that left no admitted item unemitted.
+// Flush() method is flushed whenever the run's window drains (after an
+// Emit that left no admitted item unemitted) and, while it does not,
+// once every item admitted when the oldest unflushed item was emitted
+// has been emitted too.
 // Close is called exactly once after the last Emit of a successful run —
 // sinks that assemble an aggregate document write it there.
 type Sink interface {
@@ -234,13 +238,13 @@ func (s *Stats) observe(it *Item) {
 //
 // Emission: there is no emitter goroutine. The worker that finishes the
 // window's head emits it and every consecutive finished item after it.
-// If that run emptied the window (no admitted item is left to emit), it
-// calls the sink's Flush method, if it has one, and re-checks the window
-// before it lets go of the emitting role; otherwise it leaves the flush
-// to whichever worker emits the window's last admitted item. Sink calls
-// therefore run on worker goroutines, one at a time; a panicking Emit or
-// Flush is recovered, reported through OnPanic("sink", …) and fails the
-// run.
+// It calls the sink's Flush method, if it has one, when a line is out
+// unflushed and either the window is empty (no admitted item is left to
+// emit) or every item admitted when that line went out has been emitted;
+// otherwise it leaves the flush to whichever worker emits later. Sink
+// calls therefore run on worker goroutines, one at a time; a panicking
+// Emit or Flush is recovered, reported through OnPanic("sink", …) and
+// fails the run.
 func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -336,6 +340,11 @@ type window struct {
 	ring     []*Item // finished, unemitted items; slot Seq % len(ring)
 	head     int     // Seq of the next item to emit
 	emitting bool
+	// dirty is set from the first line emitted after a flush until the
+	// next flush; flushAt is one past the last item admitted when that
+	// line went out.
+	dirty   bool
+	flushAt int
 
 	ctx       context.Context
 	cfg       Config
@@ -351,9 +360,11 @@ type window struct {
 // finish files a processed item into the ring. If it is the head and no
 // worker is emitting, the caller takes the emitting role: it emits every
 // consecutive finished item and lets go of the role once the head is
-// unfinished, flushing first when the window has drained (a space token
-// is held by every admitted, unemitted item, so an empty space channel
-// means the source has nothing in flight).
+// unfinished. It flushes first, when a line is out unflushed, if every
+// item admitted when that line went out has now been emitted, or if the
+// window has drained (a space token is held by every admitted,
+// unemitted item, so an empty space channel means the source has
+// nothing in flight).
 func (w *window) finish(it *Item) {
 	w.mu.Lock()
 	w.ring[it.Seq%len(w.ring)] = it
@@ -362,26 +373,30 @@ func (w *window) finish(it *Item) {
 		return
 	}
 	w.emitting = true
-	flushed := false
 	for {
 		next := w.ring[w.head%len(w.ring)]
-		if next != nil {
+		flush := w.dirty && (w.head >= w.flushAt || next == nil && len(w.space) == 0)
+		switch {
+		case flush:
+			w.dirty = false
+		case next != nil:
 			w.ring[w.head%len(w.ring)] = nil
+			if !w.dirty && w.flusher != nil {
+				w.dirty, w.flushAt = true, w.head+len(w.space)
+			}
 			w.head++
-		} else if flushed || len(w.space) > 0 {
+		default:
 			w.emitting = false
 			w.mu.Unlock()
 			return
 		}
 		w.mu.Unlock()
-		switch {
-		case next != nil:
+		if flush {
+			w.fail(safeFlush(w.cfg, w.flusher))
+		} else {
 			w.emit(next)
 			<-w.space
-		case w.flusher != nil:
-			w.fail(safeFlush(w.cfg, w.flusher))
 		}
-		flushed = next == nil
 		w.mu.Lock()
 	}
 }

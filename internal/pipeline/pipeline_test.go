@@ -485,11 +485,13 @@ type lineFlushCounter struct {
 	mu             sync.Mutex
 	lines, flushes int
 	flushed        int // lines written before the last Flush
+	maxUnflushed   int // most lines out unflushed when another was written
 }
 
 func (w *lineFlushCounter) Write(b []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.maxUnflushed = max(w.maxUnflushed, w.lines-w.flushed)
 	w.lines += strings.Count(string(b), "\n")
 	return len(b), nil
 }
@@ -520,7 +522,9 @@ func seqLine(dst []byte, it *Item) ([]byte, error) {
 
 // TestRunFlushesWhenWindowDrains pins Run's flush policy over an
 // NDJSONSink: the sink is flushed when no admitted item is left to emit,
-// so a finished line never waits for input, and lines coalesce into one
+// so a finished line never waits for input, or once every page admitted
+// when the oldest unflushed line went out has been emitted, so it waits
+// for at most Buffer+Workers-1 lines behind it; lines coalesce into one
 // flush while the source runs ahead.
 func TestRunFlushesWhenWindowDrains(t *testing.T) {
 	page := func(i int) *core.Page { return core.NewPageLazy(fmt.Sprintf("http://x/p%d", i), "<p>x</p>") }
@@ -578,7 +582,7 @@ func TestRunFlushesWhenWindowDrains(t *testing.T) {
 
 	// Running ahead at one worker: page k is extracted only once the
 	// source has admitted page k+1, so the window never drains before
-	// the end and the lines share a handful of flushes.
+	// the end and the lines share flushes, one per admitted window.
 	t.Run("runs ahead 1 worker", func(t *testing.T) {
 		const pages = 64
 		asked := make([]chan struct{}, pages+1) // asked[j] closes when Next is called for page j
@@ -618,6 +622,29 @@ func TestRunFlushesWhenWindowDrains(t *testing.T) {
 			t.Fatalf("%d flushes for %d pages (%.2f per page), want at most 0.5", w.flushes, pages, per)
 		}
 	})
+
+	// Bounded wait: with the source always ready the window never
+	// drains before the end, yet a line is flushed before the
+	// Buffer+Workers-th line behind it is written.
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("bounded wait %d-worker", workers), func(t *testing.T) {
+			const pages, buffer = 200, 3
+			var pp []*core.Page
+			for i := 0; i < pages; i++ {
+				pp = append(pp, page(i))
+			}
+			w := &lineFlushCounter{}
+			if _, err := Run(context.Background(), Config{Workers: workers, Buffer: buffer}, NewPageSource(pp), NewNDJSONSink(w, seqLine)); err != nil {
+				t.Fatal(err)
+			}
+			if w.lines != pages || w.flushed != pages {
+				t.Fatalf("%d lines, %d flushed; want all %d flushed", w.lines, w.flushed, pages)
+			}
+			if bound := buffer + workers - 1; w.maxUnflushed > bound {
+				t.Fatalf("a line was written with %d lines out unflushed, want at most %d", w.maxUnflushed, bound)
+			}
+		})
+	}
 
 	// Coalescing: with the source always ready and the head held back
 	// until the last page is being extracted, the lines finished behind

@@ -109,9 +109,9 @@ func MakeResultLine(it *Item) ResultLine {
 // /extract/batch, crawl -ndjson and extract -format ndjson. Its appender
 // renders each item into a reused buffer and Emit writes the line with
 // one Write; an item the appender appended nothing for is skipped. Emit
-// does not flush: Run calls Flush when its window drains, and Flush
-// passes through to the writer when it can flush and a line went out
-// since the last Flush. A sink wrapped in another (MultiSink)
+// does not flush: Run calls Flush once per window of items (see Sink),
+// and Flush passes through to the writer when it can flush and a line
+// went out since the last Flush. A sink wrapped in another (MultiSink)
 // is not flushed.
 type NDJSONSink struct {
 	w       io.Writer

@@ -442,35 +442,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			slog.Int("status", sw.status),
 			slog.Int64("bytes", sw.bytes),
 			slog.Duration("duration", time.Since(start)))
-		// A handler that wanted the query parsed it itself; the log only
-		// looks up one key, without building the url.Values map.
-		if repo := queryValue(r.URL.RawQuery, "repo"); repo != "" {
+		if repo := r.URL.Query().Get("repo"); repo != "" {
 			attrs = append(attrs, slog.String("repo", repo))
 		}
 		s.logger().LogAttrs(ctx, level, "request", attrs...)
 	})
-}
-
-// queryValue returns url.ParseQuery(raw).Get(key) without building the
-// map: the first well-formed key=value pair whose unescaped key is key
-// gives the unescaped value. Pairs holding a semicolon or a bad escape
-// are skipped, as ParseQuery skips them.
-func queryValue(raw, key string) string {
-	for raw != "" {
-		var pair string
-		pair, raw, _ = strings.Cut(raw, "&")
-		if pair == "" || strings.Contains(pair, ";") {
-			continue
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		if k, err := url.QueryUnescape(k); err != nil || k != key {
-			continue
-		}
-		if v, err := url.QueryUnescape(v); err == nil {
-			return v
-		}
-	}
-	return ""
 }
 
 // ---------------------------------------------------------------------------
@@ -804,25 +780,22 @@ func (s *Server) pageFor(uri, html string) *core.Page {
 	}
 	page := core.NewPageLazy(uri, html)
 	if s.PageCache != nil {
-		page.SetParser(cachedParser{s})
+		page.SetParser(s.parseCached)
 	}
 	return page
 }
 
-// cachedParser is the core.Parser of pages served while the page cache
-// is on. Compiled rule *programs* are cached per repository version
-// instead.
-type cachedParser struct{ s *Server }
-
-// Parse returns the cached tree of src, or parses src and admits it.
-func (p cachedParser) Parse(src string) *dom.Node {
+// parseCached is the parser of pages served while the page cache is on:
+// it returns the cached tree of src, or parses src and admits it.
+// Compiled rule *programs* are cached per repository version instead.
+func (s *Server) parseCached(src string) *dom.Node {
 	key := PageKeyOf([]byte(src))
-	cache := p.s.PageCache
+	cache := s.PageCache
 	if doc, ok := cache.Get(key); ok {
-		p.s.Metrics.PageCache(true)
+		s.Metrics.PageCache(true)
 		return doc
 	}
-	p.s.Metrics.PageCache(false)
+	s.Metrics.PageCache(false)
 	doc := dom.Parse(src)
 	cache.Put(key, doc, int64(len(src)))
 	return doc
@@ -915,7 +888,7 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, classify p
 // the explicit ?repo= when present (validated against the registry),
 // else the signature router.
 func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error) {
-	if name := queryValue(r.URL.RawQuery, "repo"); name != "" {
+	if name := r.URL.Query().Get("repo"); name != "" {
 		if _, ok := s.Registry.Get(name); !ok {
 			return nil, errf(http.StatusNotFound, "repository %q not loaded", name)
 		}

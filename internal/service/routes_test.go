@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"regexp"
 	"runtime/pprof"
 	"slices"
@@ -171,39 +169,6 @@ func TestRequestLogRepo(t *testing.T) {
 		}
 		if line.Msg != "request" || line.Repo != tc.want {
 			t.Errorf("%s %s: request log %+v, want repo %q", tc.method, tc.target, line, tc.want)
-		}
-	}
-}
-
-// TestQueryValueMatchesParseQuery: queryValue(raw, key) is
-// url.ParseQuery(raw).Get(key) for arbitrary raw queries.
-func TestQueryValueMatchesParseQuery(t *testing.T) {
-	cases := []string{
-		"", "repo", "repo=", "repo=a&repo=b", "a=1&repo=x%20y", "repo=%zz&repo=ok",
-		"re%70o=1", "repo=a;b&repo=c", "&&repo=+plus+", "%=x&repo=%41", "repo=a=b",
-	}
-	f := func(raw string) bool {
-		want := ""
-		if v, _ := url.ParseQuery(raw); v != nil {
-			want = v.Get("repo")
-		}
-		return queryValue(raw, "repo") == want
-	}
-	for _, raw := range cases {
-		if !f(raw) {
-			t.Errorf("queryValue(%q) = %q, want ParseQuery's", raw, queryValue(raw, "repo"))
-		}
-	}
-	// Random queries over an alphabet dense in separators and escapes.
-	alphabet := []string{"repo", "=", "&", ";", "%", "2", "0", "z", "+", "a", "%70"}
-	for seed := int64(0); seed < 2000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var b strings.Builder
-		for n := rng.Intn(12); n > 0; n-- {
-			b.WriteString(alphabet[rng.Intn(len(alphabet))])
-		}
-		if raw := b.String(); !f(raw) {
-			t.Fatalf("queryValue(%q) = %q, want ParseQuery's", raw, queryValue(raw, "repo"))
 		}
 	}
 }

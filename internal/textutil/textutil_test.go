@@ -93,7 +93,7 @@ func TestTokensAreLowerAlnum(t *testing.T) {
 // leaving the bytes already in dst alone.
 func TestNormalizeSpaceBytesEquivalence(t *testing.T) {
 	cases := []string{
-		"", "   ", " a  b\tc\nd ", "a b   c", "é èü",
+		"", "   ", " a  b\tc\nd ", "a b   c", "é èü",
 		"\x80\xff bro\xc3(ken", "pre\vformatted\ftext", "né e",
 	}
 	const prefix = "kept "
