@@ -163,3 +163,18 @@ func TestFastPathLocationZeroAllocsOnCorpusPage(t *testing.T) {
 		t.Errorf("fast-path SelectLocationFirst allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestParseAllocBudget pins dom.Parse over benchHTML (a rendered movies
+// page). 96 allocs/op is what the parser spent before tree construction
+// became a sink of the shared walk; the shared walk must not spend more.
+func TestParseAllocBudget(t *testing.T) {
+	allocs := testing.AllocsPerRun(50, func() {
+		if dom.Parse(benchHTML) == nil {
+			t.Error("nil document")
+		}
+	})
+	const budget = 96
+	if allocs > budget {
+		t.Errorf("Parse allocates %.0f/op, budget %d", allocs, budget)
+	}
+}

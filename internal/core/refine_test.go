@@ -214,7 +214,9 @@ func TestPathToRejectsBadNodes(t *testing.T) {
 func TestPathToDetachedFragment(t *testing.T) {
 	// A node inside a detached fragment still gets a usable path anchored
 	// at the fragment root.
-	frag := dom.ParseFragment(`<tr><td>x</td></tr>`, "TABLE")
+	doc := dom.Parse(`<table><tr><td>x</td></tr></table>`)
+	frag := dom.FindFirst(doc, func(n *dom.Node) bool { return n.TagIs("table") })
+	frag.Parent.RemoveChild(frag)
 	td := dom.FindFirst(frag, func(n *dom.Node) bool { return n.TagIs("td") })
 	p, ok := PathTo(td)
 	if !ok {

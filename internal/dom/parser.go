@@ -1,271 +1,95 @@
 package dom
 
-import "strings"
+import "sync"
 
-// voidTags never have content and never appear on the open-element stack.
-var voidTags = map[string]bool{
-	"AREA": true, "BASE": true, "BR": true, "COL": true, "EMBED": true,
-	"HR": true, "IMG": true, "INPUT": true, "LINK": true, "META": true,
-	"PARAM": true, "SOURCE": true, "TRACK": true, "WBR": true,
-}
-
-// headTags are elements that belong in HEAD when they appear before any
-// body content.
-var headTags = map[string]bool{
-	"TITLE": true, "META": true, "LINK": true, "BASE": true, "STYLE": true,
-}
-
-// closedBy[tag] lists sibling start tags that implicitly terminate an open
-// tag — the auto-closing behaviour browsers apply to lists and tables. For
-// example an open TD is closed by a following TD, TH or TR.
-var closedBy = map[string]map[string]bool{
-	"P": {
-		"P": true, "DIV": true, "TABLE": true, "UL": true, "OL": true,
-		"DL": true, "H1": true, "H2": true, "H3": true, "H4": true,
-		"H5": true, "H6": true, "BLOCKQUOTE": true, "PRE": true, "FORM": true,
-		"HR": true, "SECTION": true, "ARTICLE": true, "ASIDE": true,
-		"HEADER": true, "FOOTER": true, "NAV": true, "FIELDSET": true,
-		"ADDRESS": true,
-	},
-	"LI":       {"LI": true},
-	"DT":       {"DT": true, "DD": true},
-	"DD":       {"DT": true, "DD": true},
-	"TR":       {"TR": true, "TBODY": true, "THEAD": true, "TFOOT": true},
-	"TD":       {"TD": true, "TH": true, "TR": true, "TBODY": true, "THEAD": true, "TFOOT": true},
-	"TH":       {"TD": true, "TH": true, "TR": true, "TBODY": true, "THEAD": true, "TFOOT": true},
-	"THEAD":    {"TBODY": true, "TFOOT": true},
-	"TBODY":    {"TBODY": true, "TFOOT": true},
-	"TFOOT":    {"TBODY": true},
-	"OPTION":   {"OPTION": true, "OPTGROUP": true},
-	"OPTGROUP": {"OPTGROUP": true},
-	"COLGROUP": {"TR": true, "TBODY": true, "THEAD": true, "TFOOT": true, "COL": true},
-}
-
-// tableScope lists elements whose implicit closing must not cross a TABLE
-// boundary (a TD in a nested table must not close the outer TD).
-var tableScoped = map[string]bool{
-	"TR": true, "TD": true, "TH": true, "THEAD": true, "TBODY": true,
-	"TFOOT": true, "COLGROUP": true,
-}
+// constructors recycles walk state across Parse calls, so a parse
+// allocates only the tree.
+var constructors = sync.Pool{New: func() any { return new(Constructor) }}
 
 // Parse builds a document tree from HTML source. It never fails: any byte
 // sequence yields a well-formed tree with a synthesized
 // HTML > (HEAD, BODY) skeleton, mirroring what the Mozilla engine gives
-// the Retrozilla plug-in for arbitrarily broken markup.
+// the Retrozilla plug-in for arbitrarily broken markup. The tree is built
+// by a sink of Construct, the one tree-construction walk, so the stream
+// consumers in internal/streamx see exactly the tree Parse returns.
 func Parse(src string) *Node {
-	p := &parser{doc: NewDocument()}
-	p.html = NewElement("HTML")
-	p.doc.AppendChild(p.html)
-	p.head = NewElement("HEAD")
-	p.html.AppendChild(p.head)
-	p.body = NewElement("BODY")
-	p.html.AppendChild(p.body)
-	p.stack = []*Node{p.body}
-
-	z := NewTokenizer(src)
-	for {
-		tok := z.Next()
-		if tok.Type == ErrorToken {
-			break
-		}
-		p.process(tok)
-	}
+	b := &treeBuilder{doc: NewDocument(), html: NewElement("HTML")}
+	b.doc.AppendChild(b.html)
+	b.head = NewElement("HEAD")
+	b.html.AppendChild(b.head)
+	b.body = NewElement("BODY")
+	b.html.AppendChild(b.body)
+	b.cur = b.body
+	c := constructors.Get().(*Constructor)
+	_ = Construct(c, src, b) // the tree builder never aborts the walk
+	constructors.Put(c)
 	// Stamp document order: parsed trees are the extraction hot path, and
 	// the stamps turn every document-order comparison during XPath
 	// evaluation into an integer compare.
-	IndexOrder(p.doc)
-	return p.doc
+	IndexOrder(b.doc)
+	return b.doc
 }
 
-// ParseFragment parses src as a fragment whose nodes become children of a
-// detached element with the given container tag (default BODY). Useful for
-// tests and for the corpus generator's snippet templates.
-func ParseFragment(src, container string) *Node {
-	if container == "" {
-		container = "BODY"
+// treeBuilder is the Sink that builds Parse's tree. cur is the element of
+// the walk's top frame.
+type treeBuilder struct {
+	doc, html, head, body, cur *Node
+}
+
+func (b *treeBuilder) StartElement(name []byte, tag *Tag, span string, pushed, detached bool) error {
+	el := &Node{Type: ElementNode, Attr: tagAttrs(span)}
+	if tag != nil {
+		el.Data = tag.Name
+	} else {
+		el.Data = string(name)
 	}
-	root := NewElement(container)
-	p := &parser{doc: root, fragment: true}
-	p.body = root
-	p.stack = []*Node{root}
-	z := NewTokenizer(src)
-	for {
-		tok := z.Next()
-		if tok.Type == ErrorToken {
-			break
-		}
-		p.process(tok)
+	if detached {
+		b.head.AppendChild(el)
+	} else {
+		b.cur.AppendChild(el)
 	}
-	IndexOrder(root)
-	return root
-}
-
-type parser struct {
-	doc      *Node
-	html     *Node
-	head     *Node
-	body     *Node
-	stack    []*Node // open elements; stack[0] is BODY (or fragment root)
-	seenBody bool    // any non-head content emitted yet
-	fragment bool
-}
-
-func (p *parser) top() *Node { return p.stack[len(p.stack)-1] }
-
-// preserveWhitespace reports whether the insertion point is inside an
-// element whose whitespace is significant (PRE, or a raw-text element).
-func (p *parser) preserveWhitespace() bool {
-	for n := p.top(); n != nil && n.Type == ElementNode; n = n.Parent {
-		if n.Data == "PRE" || rawTextTags[n.Data] {
-			return true
-		}
+	if pushed {
+		b.cur = el
 	}
-	return false
+	return nil
 }
 
-// inHead reports whether the insertion point currently sits inside the
-// synthesized HEAD element.
-func (p *parser) inHead() bool {
-	for n := p.top(); n != nil; n = n.Parent {
-		if n == p.head {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *parser) process(tok Token) {
-	switch tok.Type {
-	case TextToken:
-		p.addText(tok.Data)
-	case CommentToken:
-		p.top().AppendChild(&Node{Type: CommentNode, Data: tok.Data})
-	case DoctypeToken:
-		if !p.fragment {
-			p.doc.InsertBefore(&Node{Type: DoctypeNode, Data: tok.Data}, p.html)
-		}
-	case StartTagToken, SelfClosingTagToken:
-		p.addElement(tok)
-	case EndTagToken:
-		p.closeElement(tok.Data)
+func (b *treeBuilder) EndElement() {
+	// Only frames above BODY pop, and the one frame not nested in its
+	// predecessor is a head-routed TITLE or STYLE, whose predecessor is
+	// BODY.
+	b.cur = b.cur.Parent
+	if b.cur == b.head {
+		b.cur = b.body
 	}
 }
 
-func (p *parser) addText(text string) {
-	if text == "" {
-		return
+func (b *treeBuilder) Text(data []byte, src string) {
+	if src == "" {
+		src = string(data)
 	}
-	// Whitespace-only text between tags is source-formatting noise, not
-	// data: dropping it makes text()[k] indexes count only meaningful
-	// text nodes, matching the indexing used throughout the paper
-	// (text()[1] selects "108 min", not the indentation before <B>).
-	// Raw-text and preformatted contexts keep their whitespace.
-	if strings.TrimSpace(text) == "" && !p.preserveWhitespace() {
-		return
-	}
-	if strings.TrimSpace(text) != "" && !p.inHead() {
-		p.seenBody = true
-	}
-	if last := p.top().LastChild; last != nil && last.Type == TextNode {
-		// Coalesce adjacent text (entity decoding can split runs).
-		last.Data += text
-		return
-	}
-	p.top().AppendChild(NewText(text))
+	b.cur.AppendChild(NewText(src))
 }
 
-func (p *parser) addElement(tok Token) {
-	name := tok.Data
-	switch name {
-	case "HTML":
-		// Merge attributes onto the synthesized HTML element.
-		if !p.fragment {
-			for _, a := range tok.Attr {
-				p.html.SetAttr(a.Key, a.Val)
-			}
-		}
-		return
+func (b *treeBuilder) Comment(data string) {
+	b.cur.AppendChild(&Node{Type: CommentNode, Data: data})
+}
+
+func (b *treeBuilder) Doctype(data string) {
+	b.doc.InsertBefore(&Node{Type: DoctypeNode, Data: data}, b.html)
+}
+
+func (b *treeBuilder) MergeAttrs(tag *Tag, span string) {
+	el := b.body
+	switch tag.Name {
 	case "HEAD":
-		return // synthesized already
-	case "BODY":
-		if !p.fragment {
-			for _, a := range tok.Attr {
-				p.body.SetAttr(a.Key, a.Val)
-			}
-		}
 		return
+	case "HTML":
+		el = b.html
 	}
-	if !p.fragment && !p.seenBody && headTags[name] && p.top() == p.body {
-		// Route head-only elements into HEAD until body content starts.
-		el := &Node{Type: ElementNode, Data: name, Attr: tok.Attr}
-		p.head.AppendChild(el)
-		if name == "TITLE" || name == "STYLE" {
-			p.pushHead(el)
-		}
-		return
-	}
-	p.seenBody = p.seenBody || !headTags[name]
-
-	p.applyImpliedEndTags(name)
-
-	el := &Node{Type: ElementNode, Data: name, Attr: tok.Attr}
-	p.top().AppendChild(el)
-	if tok.Type == SelfClosingTagToken || voidTags[name] {
-		return
-	}
-	p.stack = append(p.stack, el)
-}
-
-// pushHead temporarily parses TITLE/STYLE content into HEAD by swapping the
-// stack bottom. Raw-text tokenization guarantees the very next tokens are
-// the text and the end tag, so a shallow push suffices.
-func (p *parser) pushHead(el *Node) {
-	p.stack = append(p.stack, el)
-}
-
-// applyImpliedEndTags pops elements that the incoming start tag implicitly
-// terminates (TD closes an open TD, LI closes LI, …), without crossing a
-// TABLE boundary for table-scoped tags.
-func (p *parser) applyImpliedEndTags(incoming string) {
-	for len(p.stack) > 1 {
-		cur := p.top()
-		set := closedBy[cur.Data]
-		if set == nil || !set[incoming] {
-			return
-		}
-		if tableScoped[incoming] && cur.Data == "TABLE" {
-			return
-		}
-		p.stack = p.stack[:len(p.stack)-1]
+	for _, a := range tagAttrs(span) {
+		el.SetAttr(a.Key, a.Val)
 	}
 }
 
-// closeElement handles an end tag: pop the stack until the matching element
-// is closed. If the element is not open, the end tag is ignored (browser
-// behaviour for stray end tags). Popping never crosses a TABLE boundary for
-// row/cell end tags, so a stray </tr> inside a nested table cannot close
-// the outer row.
-func (p *parser) closeElement(name string) {
-	if voidTags[name] {
-		return
-	}
-	// Find the nearest matching open element.
-	idx := -1
-	for i := len(p.stack) - 1; i >= 1; i-- {
-		if p.stack[i].Data == name {
-			idx = i
-			break
-		}
-		if tableScoped[name] && p.stack[i].Data == "TABLE" {
-			return // scope boundary: ignore the stray end tag
-		}
-	}
-	if idx < 0 {
-		if name == "BODY" || name == "HTML" {
-			// Close everything (end of document content).
-			p.stack = p.stack[:1]
-		}
-		return
-	}
-	p.stack = p.stack[:idx]
-}
+func (b *treeBuilder) Done() bool { return false }

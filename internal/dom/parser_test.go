@@ -228,7 +228,7 @@ func TestElementIndex(t *testing.T) {
 }
 
 func TestTextIndex(t *testing.T) {
-	body := ParseFragment(`alpha<b>bold</b>beta<br>gamma`, "TD")
+	body := FindFirst(Parse(`<table><tr><td>alpha<b>bold</b>beta<br>gamma`), func(n *Node) bool { return n.TagIs("TD") })
 	var texts []*Node
 	for c := body.FirstChild; c != nil; c = c.NextSibling {
 		if c.Type == TextNode {

@@ -29,7 +29,7 @@ func render(b *strings.Builder, n *Node) {
 		b.WriteString(n.Data)
 		b.WriteString("-->")
 	case TextNode:
-		if n.Parent != nil && rawTextTags[n.Parent.Data] {
+		if n.Parent != nil && LookupTag(n.Parent.Data).is(tagRaw) {
 			b.WriteString(n.Data)
 		} else {
 			b.WriteString(EscapeText(n.Data))
@@ -45,7 +45,7 @@ func render(b *strings.Builder, n *Node) {
 			b.WriteByte('"')
 		}
 		b.WriteByte('>')
-		if voidTags[n.Data] {
+		if LookupTag(n.Data).is(tagVoid) {
 			return
 		}
 		for c := n.FirstChild; c != nil; c = c.NextSibling {

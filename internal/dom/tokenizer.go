@@ -21,11 +21,11 @@ const (
 // Token is one lexical token of an HTML document.
 type Token struct {
 	Type TokenType
-	// Data is the tag name (upper-cased) for tag tokens, the decoded text
-	// for text tokens, and the raw content for comments/doctypes. In lazy
-	// mode tag names keep their source case and text is left undecoded.
+	// Data is a slice of the source: the tag name as written (callers
+	// fold its case) for tag tokens, the undecoded text for text tokens,
+	// and the raw content for comments/doctypes. Attributes are read on
+	// demand from a start tag's span (tagAttrs).
 	Data string
-	Attr []Attribute
 	// Start and End delimit the raw source bytes the token was scanned
 	// from: src[Start:End] is exactly the input consumed to produce it.
 	// For text tokens this is always the undecoded span, so a consumer
@@ -43,48 +43,26 @@ type Token struct {
 type Tokenizer struct {
 	src string
 	pos int
-	// rawTag, when non-empty, is the element whose raw text content is
-	// being consumed (SCRIPT, STYLE, TEXTAREA, TITLE, XMP). It is always
-	// the canonical upper-cased name, even in lazy mode.
+	// rawTag, when non-empty, is the canonical upper-cased name of the
+	// element whose raw text content is being consumed (SCRIPT, STYLE,
+	// TEXTAREA, TITLE, XMP).
 	rawTag string
-	// lazy suppresses all per-token allocation: tag names keep their
-	// source case (callers fold them), text Data stays entity-encoded,
-	// and attributes are scanned for structure but not materialized.
-	// Byte offsets are exact either way.
-	lazy bool
 }
 
-// NewTokenizer returns a Tokenizer reading from src.
+// NewTokenizer returns a Tokenizer reading from src. Scanning allocates
+// nothing: every token is a span of src.
 func NewTokenizer(src string) *Tokenizer {
 	return &Tokenizer{src: src}
-}
-
-// ResetLazy reinitializes the tokenizer to scan src in lazy mode, reusing
-// the receiver so scanners held in per-run scratch state allocate nothing.
-func (z *Tokenizer) ResetLazy(src string) {
-	*z = Tokenizer{src: src, lazy: true}
-}
-
-// NewLazyTokenizer returns a Tokenizer in lazy mode: Data fields are raw
-// slices of src (tag names unfolded, text undecoded) and Attr is never
-// populated. Token boundaries, types, and raw-text element handling are
-// byte-identical to the eager tokenizer; only the materialization of
-// Data/Attr differs. Consumers use Token.Start/End to slice src and decode
-// only what they need.
-func NewLazyTokenizer(src string) *Tokenizer {
-	return &Tokenizer{src: src, lazy: true}
-}
-
-var rawTextTags = map[string]bool{
-	"SCRIPT": true, "STYLE": true, "TEXTAREA": true, "TITLE": true, "XMP": true,
 }
 
 // rawTextLower maps each raw-text tag to its lower-cased form once, so
 // scanning for a closing tag never re-lowers the tag per token.
 var rawTextLower = func() map[string]string {
-	m := make(map[string]string, len(rawTextTags))
-	for k := range rawTextTags {
-		m[k] = lowerASCII(k)
+	m := map[string]string{}
+	for _, t := range knownTags {
+		if t.is(tagRaw) {
+			m[t.Name] = lowerASCII(t.Name)
+		}
 	}
 	return m
 }()
@@ -161,12 +139,8 @@ func (z *Tokenizer) findNextLT(from int) int {
 
 func (z *Tokenizer) textUpTo(end int) Token {
 	start := z.pos
-	data := z.src[start:end]
-	if !z.lazy {
-		data = UnescapeEntities(data)
-	}
 	z.pos = end
-	return Token{Type: TextToken, Data: data, Start: start, End: end}
+	return Token{Type: TextToken, Data: z.src[start:end], Start: start, End: end}
 }
 
 func (z *Tokenizer) nextText() Token {
@@ -299,9 +273,6 @@ func (z *Tokenizer) nextEndTag() Token {
 		j++
 	}
 	name := z.src[i:j]
-	if !z.lazy {
-		name = strings.ToUpper(name)
-	}
 	// Skip to closing '>'.
 	k := strings.IndexByte(z.src[j:], '>')
 	if k < 0 {
@@ -329,46 +300,50 @@ func (z *Tokenizer) nextStartTag() Token {
 	for j < len(z.src) && isNameByte(z.src[j]) {
 		j++
 	}
-	name := z.src[i:j]
-	if !z.lazy {
-		name = strings.ToUpper(name)
-	}
-	tok := Token{Type: StartTagToken, Data: name, Start: tokStart}
+	tok := Token{Type: StartTagToken, Data: z.src[i:j], Start: tokStart}
 	z.pos = j
-	z.parseAttrs(&tok)
-	tok.End = z.pos
-	if tok.Type == StartTagToken {
-		if z.lazy {
-			if canon := canonicalRawTag(name); canon != "" {
-				z.rawTag = canon
-			}
-		} else if rawTextTags[name] {
-			z.rawTag = name
-		}
+	if z.scanAttrs(nil) {
+		tok.Type = SelfClosingTagToken
+	} else if canon := canonicalRawTag(tok.Data); canon != "" {
+		z.rawTag = canon
 	}
+	tok.End = z.pos
 	return tok
 }
 
-// parseAttrs consumes attributes and the tag terminator ('>' or '/>'),
-// setting tok.Type to SelfClosingTagToken for the latter. In lazy mode the
-// same bytes are consumed but no Attribute values are materialized.
-func (z *Tokenizer) parseAttrs(tok *Token) {
+// tagAttrs reads the attributes of a start tag from its source span
+// (src[tok.Start:tok.End]): keys lower-cased, values entity-decoded, in
+// source order. Rescanning the span consumes exactly what the tokenizer
+// consumed, since attribute scanning never looks past the token's end.
+func tagAttrs(span string) []Attribute {
+	z := Tokenizer{src: span, pos: 1}
+	for z.pos < len(span) && isNameByte(span[z.pos]) {
+		z.pos++
+	}
+	var attrs []Attribute
+	z.scanAttrs(&attrs)
+	return attrs
+}
+
+// scanAttrs consumes attributes and the tag terminator ('>' or '/>'),
+// reporting whether the tag self-closes. When attrs is non-nil each
+// attribute is appended to it.
+func (z *Tokenizer) scanAttrs(attrs *[]Attribute) (selfClosing bool) {
 	for {
 		z.skipSpace()
 		if z.pos >= len(z.src) {
-			return
+			return false
 		}
 		switch z.src[z.pos] {
 		case '>':
 			z.pos++
-			return
+			return false
 		case '/':
 			z.pos++
 			z.skipSpace()
 			if z.pos < len(z.src) && z.src[z.pos] == '>' {
 				z.pos++
-				tok.Type = SelfClosingTagToken
-				return
+				return true
 			}
 			continue // stray slash inside a tag: ignore
 		}
@@ -379,21 +354,15 @@ func (z *Tokenizer) parseAttrs(tok *Token) {
 			continue
 		}
 		z.skipSpace()
-		if z.lazy {
-			if z.pos < len(z.src) && z.src[z.pos] == '=' {
-				z.pos++
-				z.skipSpace()
-				z.skipAttrValue()
-			}
-			continue
-		}
 		val := ""
 		if z.pos < len(z.src) && z.src[z.pos] == '=' {
 			z.pos++
 			z.skipSpace()
 			val = z.readAttrValue()
 		}
-		tok.Attr = append(tok.Attr, Attribute{Key: strings.ToLower(key), Val: val})
+		if attrs != nil {
+			*attrs = append(*attrs, Attribute{Key: strings.ToLower(key), Val: UnescapeEntities(val)})
+		}
 	}
 }
 
@@ -421,6 +390,9 @@ func (z *Tokenizer) readAttrName() string {
 	return z.src[start:z.pos]
 }
 
+// readAttrValue consumes an attribute value and returns it undecoded:
+// quoted values run to the matching quote (or EOF), unquoted values to
+// whitespace or '>'.
 func (z *Tokenizer) readAttrValue() string {
 	if z.pos >= len(z.src) {
 		return ""
@@ -432,13 +404,12 @@ func (z *Tokenizer) readAttrValue() string {
 		if end < 0 {
 			v := z.src[z.pos:]
 			z.pos = len(z.src)
-			return UnescapeEntities(v)
+			return v
 		}
 		v := z.src[z.pos : z.pos+end]
 		z.pos += end + 1
-		return UnescapeEntities(v)
+		return v
 	}
-	// Unquoted value: up to whitespace or '>'.
 	start := z.pos
 	for z.pos < len(z.src) {
 		c := z.src[z.pos]
@@ -447,33 +418,5 @@ func (z *Tokenizer) readAttrValue() string {
 		}
 		z.pos++
 	}
-	return UnescapeEntities(z.src[start:z.pos])
-}
-
-// skipAttrValue consumes an attribute value exactly like readAttrValue but
-// materializes nothing. The byte-consumption rules must match: quoted
-// values run to the matching quote (or EOF), unquoted values to whitespace
-// or '>'.
-func (z *Tokenizer) skipAttrValue() {
-	if z.pos >= len(z.src) {
-		return
-	}
-	quote := z.src[z.pos]
-	if quote == '"' || quote == '\'' {
-		z.pos++
-		end := strings.IndexByte(z.src[z.pos:], quote)
-		if end < 0 {
-			z.pos = len(z.src)
-			return
-		}
-		z.pos += end + 1
-		return
-	}
-	for z.pos < len(z.src) {
-		c := z.src[z.pos]
-		if c == '>' || c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' {
-			break
-		}
-		z.pos++
-	}
+	return z.src[start:z.pos]
 }

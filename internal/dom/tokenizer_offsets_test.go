@@ -49,44 +49,9 @@ func TestTokenizerOffsetsCoverSource(t *testing.T) {
 	}
 }
 
-// TestLazyTokenizerMatchesEager locks the lazy tokenizer to the eager one
-// over the whole fuzz corpus: identical token types and byte offsets, tag
-// names equal modulo ASCII case, text Data exactly the raw span.
-func TestLazyTokenizerMatchesEager(t *testing.T) {
-	for _, src := range fuzzSeeds {
-		eager := collectTokens(NewTokenizer(src))
-		lazy := collectTokens(NewLazyTokenizer(src))
-		if len(eager) != len(lazy) {
-			t.Fatalf("token count diverges for %q: eager %d lazy %d", src, len(eager), len(lazy))
-		}
-		for i := range eager {
-			e, l := eager[i], lazy[i]
-			if e.Type != l.Type || e.Start != l.Start || e.End != l.End {
-				t.Fatalf("token %d diverges for %q:\neager %+v\nlazy  %+v", i, src, e, l)
-			}
-			switch e.Type {
-			case StartTagToken, EndTagToken, SelfClosingTagToken:
-				if strings.ToUpper(l.Data) != e.Data {
-					t.Fatalf("tag name diverges for %q: eager %q lazy %q", src, e.Data, l.Data)
-				}
-			case TextToken:
-				if l.Start != l.End && l.Data != src[l.Start:l.End] {
-					t.Fatalf("lazy text %q is not its raw span %q (input %q)", l.Data, src[l.Start:l.End], src)
-				}
-				if e.Data != l.Data && e.Data != UnescapeEntities(l.Data) {
-					t.Fatalf("eager text %q not the decoded lazy span %q (input %q)", e.Data, l.Data, src)
-				}
-			}
-			if len(l.Attr) != 0 {
-				t.Fatalf("lazy token materialized attributes: %+v (input %q)", l, src)
-			}
-		}
-	}
-}
-
 // TestRawTextTokenOffsets is the regression suite for raw-text close
 // scanning: the raw span must be exact (undecoded, unmoved by invalid
-// UTF-8 or embedded entities) so lazy consumers can slice the source.
+// UTF-8 or embedded entities) so consumers can slice the source.
 func TestRawTextTokenOffsets(t *testing.T) {
 	cases := []struct {
 		src     string
@@ -101,55 +66,50 @@ func TestRawTextTokenOffsets(t *testing.T) {
 		{"<xmp></scrip</xmp>", "</scrip"},
 		{"<title>unterminated runs to EOF", "unterminated runs to EOF"},
 	}
-	for _, mode := range []func(string) *Tokenizer{NewTokenizer, NewLazyTokenizer} {
-		for _, tc := range cases {
-			var got *Token
-			z := mode(tc.src)
-			toks := collectTokens(z)
-			for i := range toks {
-				if toks[i].Type == TextToken {
-					got = &toks[i]
-					break
-				}
+	for _, tc := range cases {
+		var got *Token
+		toks := collectTokens(NewTokenizer(tc.src))
+		for i := range toks {
+			if toks[i].Type == TextToken {
+				got = &toks[i]
+				break
 			}
-			if got == nil {
-				t.Fatalf("no text token for %q", tc.src)
-			}
-			if got.Data != tc.wantRaw {
-				t.Fatalf("raw text for %q: got %q want %q", tc.src, got.Data, tc.wantRaw)
-			}
-			if span := tc.src[got.Start:got.End]; span != tc.wantRaw {
-				t.Fatalf("raw span for %q: got [%d,%d)=%q want %q", tc.src, got.Start, got.End, span, tc.wantRaw)
-			}
+		}
+		if got == nil {
+			t.Fatalf("no text token for %q", tc.src)
+		}
+		if got.Data != tc.wantRaw {
+			t.Fatalf("raw text for %q: got %q want %q", tc.src, got.Data, tc.wantRaw)
+		}
+		if span := tc.src[got.Start:got.End]; span != tc.wantRaw {
+			t.Fatalf("raw span for %q: got [%d,%d)=%q want %q", tc.src, got.Start, got.End, span, tc.wantRaw)
 		}
 	}
 }
 
 // TestRawTextOpenAtEOF: a raw-text element opened right at EOF produces no
-// further tokens — the EOF check wins before the raw-text scanner runs, in
-// both modes, with a stable empty span.
+// further tokens — the EOF check wins before the raw-text scanner runs,
+// with a stable empty span.
 func TestRawTextOpenAtEOF(t *testing.T) {
-	for _, mode := range []func(string) *Tokenizer{NewTokenizer, NewLazyTokenizer} {
-		z := mode("<title>")
-		start := z.Next()
-		if start.Type != StartTagToken {
-			t.Fatalf("first token %+v", start)
-		}
-		end := z.Next()
-		if end.Type != ErrorToken || end.Start != len("<title>") || end.End != len("<title>") {
-			t.Fatalf("expected EOF after unterminated raw-text open, got %+v", end)
-		}
+	z := NewTokenizer("<title>")
+	start := z.Next()
+	if start.Type != StartTagToken {
+		t.Fatalf("first token %+v", start)
+	}
+	end := z.Next()
+	if end.Type != ErrorToken || end.Start != len("<title>") || end.End != len("<title>") {
+		t.Fatalf("expected EOF after unterminated raw-text open, got %+v", end)
 	}
 }
 
-// TestEntityTextTokenOffsets: decoded text tokens still report the span of
-// their raw, entity-encoded source bytes.
+// TestEntityTextTokenOffsets: text tokens report the span of their raw,
+// entity-encoded source bytes, which decode to the node's text.
 func TestEntityTextTokenOffsets(t *testing.T) {
 	src := "<p>x&amp;y &#65;&nbsp;</p>"
 	z := NewTokenizer(src)
 	z.Next() // <p>
 	tok := z.Next()
-	if tok.Type != TextToken || tok.Data != "x&y A " {
+	if tok.Type != TextToken || UnescapeEntities(tok.Data) != "x&y A " {
 		t.Fatalf("decoded text token: %+v", tok)
 	}
 	if raw := src[tok.Start:tok.End]; raw != "x&amp;y &#65;&nbsp;" {

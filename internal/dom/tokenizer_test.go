@@ -18,21 +18,29 @@ func collect(src string) []Token {
 	}
 }
 
+// folded reads a tag token's name the way the tree-construction walk
+// does: upper-cased.
+func folded(tok Token) string { return string(appendUpper(nil, tok.Data)) }
+
+// attrsOf reads a start tag token's attributes on demand from its span.
+func attrsOf(src string, tok Token) []Attribute { return tagAttrs(src[tok.Start:tok.End]) }
+
 func TestTokenizerBasic(t *testing.T) {
-	toks := collect(`<p class="x">hi</p>`)
+	src := `<p class="x">hi</p>`
+	toks := collect(src)
 	if len(toks) != 3 {
 		t.Fatalf("tokens = %+v", toks)
 	}
-	if toks[0].Type != StartTagToken || toks[0].Data != "P" {
+	if toks[0].Type != StartTagToken || folded(toks[0]) != "P" {
 		t.Errorf("start = %+v", toks[0])
 	}
-	if len(toks[0].Attr) != 1 || toks[0].Attr[0].Key != "class" || toks[0].Attr[0].Val != "x" {
-		t.Errorf("attrs = %+v", toks[0].Attr)
+	if attrs := attrsOf(src, toks[0]); len(attrs) != 1 || attrs[0].Key != "class" || attrs[0].Val != "x" {
+		t.Errorf("attrs = %+v", attrs)
 	}
 	if toks[1].Type != TextToken || toks[1].Data != "hi" {
 		t.Errorf("text = %+v", toks[1])
 	}
-	if toks[2].Type != EndTagToken || toks[2].Data != "P" {
+	if toks[2].Type != EndTagToken || folded(toks[2]) != "P" {
 		t.Errorf("end = %+v", toks[2])
 	}
 }
@@ -85,13 +93,13 @@ func TestTokenizerUnterminatedConstructs(t *testing.T) {
 
 func TestTokenizerRawText(t *testing.T) {
 	toks := collect(`<script>a<b</script>after`)
-	if toks[0].Type != StartTagToken || toks[0].Data != "SCRIPT" {
+	if toks[0].Type != StartTagToken || folded(toks[0]) != "SCRIPT" {
 		t.Fatalf("toks = %+v", toks)
 	}
 	if toks[1].Type != TextToken || toks[1].Data != "a<b" {
 		t.Errorf("raw text = %+v", toks[1])
 	}
-	if toks[2].Type != EndTagToken || toks[2].Data != "SCRIPT" {
+	if toks[2].Type != EndTagToken || folded(toks[2]) != "SCRIPT" {
 		t.Errorf("end = %+v", toks[2])
 	}
 	if toks[3].Type != TextToken || toks[3].Data != "after" {
@@ -107,8 +115,8 @@ func TestTokenizerRawTextCaseInsensitiveClose(t *testing.T) {
 }
 
 func TestTokenizerAttributeVariants(t *testing.T) {
-	toks := collect(`<a one two=2 three='3' four="4" five = 5 >x</a>`)
-	attrs := toks[0].Attr
+	src := `<a one two=2 three='3' four="4" five = 5 >x</a>`
+	attrs := attrsOf(src, collect(src)[0])
 	want := map[string]string{"one": "", "two": "2", "three": "3", "four": "4", "five": "5"}
 	if len(attrs) != len(want) {
 		t.Fatalf("attrs = %+v", attrs)

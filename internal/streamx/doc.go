@@ -16,20 +16,20 @@
 // # How
 //
 // Compile lowers every location of every rule (rule.Compiled →
-// xpath.StreamPlan) into one Program. Program.Run drives a lazy tokenizer
-// (dom.Tokenizer in lazy mode: no entity decoding, no attribute
-// materialization, no name folding until needed) through an engine that
-// replays the parser's exact tree-construction discipline — synthesized
+// xpath.StreamPlan) into one Program. Program.Run drives dom.Construct,
+// the one tree-construction walk, with the Scratch as its sink. The walk
+// is the one dom.Parse builds its tree from: a tokenizer that allocates
+// nothing (every token is a span of the source) feeding the synthesized
 // HTML/HEAD/BODY skeleton, head routing, implied end tags,
-// whitespace-only text dropping, text coalescing — as a stream of
-// start/end/text events. A Scratch holds NFA threads per open element
-// frame with per-frame same-tag child counters; matched text nodes are
-// captured lazily (entity decoding happens only for text that actually
-// reaches a capture or a needle check), matched elements accumulate their
-// subtree text. After a warm-up run, executing a program allocates
-// nothing.
+// whitespace-only text dropping and text coalescing, as a stream of
+// start/end/text events. dom.Parse's sink turns those events into nodes;
+// the Scratch instead holds NFA threads per open element frame with
+// per-frame same-tag child counters. Matched text nodes are captured as
+// the walk seals them, matched elements accumulate their subtree text,
+// and attributes, comments and the doctype are never materialized. After
+// a warm-up run, executing a program allocates nothing.
 //
-// The same engine feeds featSink, so cluster fingerprints
+// The same walk feeds featSink, so cluster fingerprints
 // (streamx.Fingerprint) come from the identical token pass without a
 // parse either. The induction buffer buckets unrouted pages by the
 // features the router's pass already computed, so capture never parses;

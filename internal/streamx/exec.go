@@ -3,6 +3,8 @@ package streamx
 import (
 	"bytes"
 	"errors"
+
+	"repro/internal/dom"
 )
 
 // maxDepth caps the simulated open-element stack. Real pages sit far below
@@ -37,10 +39,10 @@ type elemCap struct {
 	buf []byte
 }
 
-// execFrame mirrors one engine frame: the state slice [stateLo,stateHi) of
-// threads matching this frame's children, a per-tag child-counter block at
-// countsOff, the count of text children so far, and the elemCaps stack mark
-// for captures that finalize when this frame closes.
+// execFrame mirrors one open frame of the walk: the state slice
+// [stateLo,stateHi) of threads matching this frame's children, a per-tag
+// child-counter block at countsOff, the count of text children so far, and
+// the elemCaps stack mark for captures that finalize when this frame closes.
 type execFrame struct {
 	stateLo     int32
 	stateHi     int32
@@ -57,7 +59,7 @@ type execFrame struct {
 // bound to its Program and not safe for concurrent use.
 type Scratch struct {
 	p   *Program
-	eng engine
+	con dom.Constructor
 
 	frames    []execFrame
 	states    []state
@@ -87,7 +89,7 @@ func (p *Program) NewScratch() *Scratch {
 // meaningless then.
 func (p *Program) Run(sc *Scratch, src string) error {
 	sc.begin()
-	err := walk(&sc.eng, src, sc)
+	err := dom.Construct(&sc.con, src, sc)
 	if err != nil {
 		return err
 	}
@@ -135,9 +137,9 @@ func (sc *Scratch) finish() {
 
 func (sc *Scratch) top() *execFrame { return &sc.frames[len(sc.frames)-1] }
 
-// done implements sink: a pure-exact program stops the walk once every
+// Done implements dom.Sink: a pure-exact program stops the walk once every
 // rule's primary location has its (necessarily unique) match.
-func (sc *Scratch) done() bool {
+func (sc *Scratch) Done() bool {
 	return sc.p.pureExact && sc.doneRules == len(sc.p.rules)
 }
 
@@ -181,17 +183,17 @@ func (sc *Scratch) appendStateDedup(lo int32, st state) {
 	sc.states = append(sc.states, st)
 }
 
-// startElement implements sink. The element is a new child of the current
-// top frame: bump its same-tag counter, advance matching threads into the
-// element's own frame, open element captures for final-step matches, then
-// push the frame when the engine did.
-func (sc *Scratch) startElement(name []byte, meta *tagMeta, pushed, detached bool) error {
+// StartElement implements dom.Sink. The element is a new child of the
+// current top frame: bump its same-tag counter, advance matching threads
+// into the element's own frame, open element captures for final-step
+// matches, then push the frame when the walk did.
+func (sc *Scratch) StartElement(name []byte, tag *dom.Tag, _ string, pushed, detached bool) error {
 	if len(sc.frames) >= maxDepth {
 		return ErrDepth
 	}
 	if detached || sc.top().detached {
 		// Head-routed elements live outside BODY: invisible to location
-		// paths, but a pushed frame must mirror the engine's stack.
+		// paths, but a pushed frame must mirror the walk's frames.
 		if pushed {
 			sc.frames = append(sc.frames, execFrame{
 				stateLo:     int32(len(sc.states)),
@@ -204,10 +206,10 @@ func (sc *Scratch) startElement(name []byte, meta *tagMeta, pushed, detached boo
 	}
 	p := sc.p
 	tagID := int32(-1)
-	if meta != nil {
-		// The engine already interned the tag: one array load instead of
+	if tag != nil {
+		// The walk already interned the tag: one array load instead of
 		// re-hashing the name.
-		tagID = int32(p.metaTag[meta.id])
+		tagID = int32(p.tagByID[tag.ID])
 	} else if id, ok := p.tagIndex[string(name)]; ok {
 		tagID = int32(id)
 	}
@@ -270,9 +272,9 @@ func (sc *Scratch) startElement(name []byte, meta *tagMeta, pushed, detached boo
 	return nil
 }
 
-// endElement implements sink: finalize captures opened for this element,
-// drop its threads, pop the frame.
-func (sc *Scratch) endElement() {
+// EndElement implements dom.Sink: finalize captures opened for this
+// element, drop its threads, pop the frame.
+func (sc *Scratch) EndElement() {
 	f := sc.top()
 	for i := int32(len(sc.elemCaps)) - 1; i >= f.elemCapMark; i-- {
 		sc.finalizeElemCap(&sc.elemCaps[i])
@@ -282,10 +284,10 @@ func (sc *Scratch) endElement() {
 	sc.frames = sc.frames[:len(sc.frames)-1]
 }
 
-// text implements sink: the sealed node is a new text child of the top
+// Text implements dom.Sink: the sealed node is a new text child of the top
 // frame. Match final text() steps, extend every open element capture, and
 // refresh the nearest-preceding-text needle mask.
-func (sc *Scratch) text(data []byte, raw bool) {
+func (sc *Scratch) Text(data []byte, _ string) {
 	f := sc.top()
 	if !f.detached {
 		f.textCount++
@@ -325,8 +327,13 @@ func (sc *Scratch) text(data []byte, raw bool) {
 		}
 	}
 	sc.prevMask = mask
-	_ = raw
 }
+
+// Comment, Doctype and MergeAttrs implement dom.Sink: comments, the
+// doctype and skeleton attributes are invisible to location paths.
+func (sc *Scratch) Comment(string)              {}
+func (sc *Scratch) Doctype(string)              {}
+func (sc *Scratch) MergeAttrs(*dom.Tag, string) {}
 
 // RuleMatches reports how many nodes the rule's winning location matched
 // (0 when no location matched). The winning location is the first in

@@ -3,10 +3,11 @@ package streamx
 import (
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dom"
 	"repro/internal/textutil"
 )
 
-// featSink accumulates clustering features during one engine walk: the set
+// featSink accumulates clustering features during one walk: the set
 // of root-to-element tag paths (structure fingerprint) and the
 // concatenated text content (keyword fingerprint) — the same inputs
 // cluster.Fingerprint derives from a parsed tree.
@@ -17,9 +18,12 @@ type featSink struct {
 	lens []int  // path length to restore per open frame
 }
 
-func (f *featSink) done() bool { return false }
+func (f *featSink) Done() bool                  { return false }
+func (f *featSink) Comment(string)              {}
+func (f *featSink) Doctype(string)              {}
+func (f *featSink) MergeAttrs(*dom.Tag, string) {}
 
-func (f *featSink) text(data []byte, raw bool) {
+func (f *featSink) Text(data []byte, _ string) {
 	// Head and raw-text content count too: TextContent walks the whole
 	// tree, TITLE/SCRIPT text included.
 	f.kw = append(f.kw, data...)
@@ -31,15 +35,16 @@ func (f *featSink) addPath(p []byte) {
 	}
 }
 
-func (f *featSink) startElement(name []byte, meta *tagMeta, pushed, detached bool) error {
+func (f *featSink) StartElement(name []byte, _ *dom.Tag, _ string, pushed, detached bool) error {
 	if detached {
 		p := make([]byte, 0, len("HTML/HEAD/")+len(name))
 		p = append(append(p, "HTML/HEAD/"...), name...)
 		f.addPath(p)
 		if pushed {
 			// A pushed head frame is the path of anything nested in it
-			// (see engFrame.inHead). Head routing only happens at the
-			// BODY root, so popping it restores HTML/BODY (mark -1).
+			// (what follows a self-closed TITLE or STYLE). Head routing
+			// only happens at the BODY root, so popping it restores
+			// HTML/BODY (mark -1).
 			f.lens = append(f.lens, -1)
 			f.path = append(f.path[:0], p...)
 		}
@@ -56,7 +61,7 @@ func (f *featSink) startElement(name []byte, meta *tagMeta, pushed, detached boo
 	return nil
 }
 
-func (f *featSink) endElement() {
+func (f *featSink) EndElement() {
 	n := len(f.lens) - 1
 	if mark := f.lens[n]; mark >= 0 {
 		f.path = f.path[:mark]
@@ -76,9 +81,9 @@ func Fingerprint(uri, src string) cluster.Features {
 	fs.tags["HTML/HEAD"] = struct{}{}
 	fs.tags["HTML/BODY"] = struct{}{}
 	fs.path = append(fs.path, "HTML/BODY"...)
-	var e engine
-	// featSink never errors or stops early; walk cannot fail.
-	_ = walk(&e, src, fs)
+	var c dom.Constructor
+	// featSink never errors or stops early; the walk cannot fail.
+	_ = dom.Construct(&c, src, fs)
 	return cluster.FeaturesFromParts(uri, fs.tags, textutil.TokenSet(string(fs.kw)))
 }
 

@@ -1,6 +1,7 @@
 package streamx
 
 import (
+	"repro/internal/dom"
 	"repro/internal/rule"
 )
 
@@ -44,10 +45,10 @@ type progRule struct {
 type Program struct {
 	tags     []string
 	tagIndex map[string]int
-	// metaTag maps a tagMeta id to this program's tag index (-1 when the
-	// program has no step on that tag): standard tags resolve with one
-	// array load on the hot path, tagIndex only catches non-standard ones.
-	metaTag []int16
+	// tagByID maps a dom.Tag id to this program's tag index (-1 when the
+	// program has no step on that tag): known tags resolve with one array
+	// load on the hot path, tagIndex only catches unknown ones.
+	tagByID [dom.NumTags]int16
 	needles [][]byte
 	rules   []progRule
 	locs    []progLoc
@@ -119,13 +120,12 @@ func Compile(ordered []*rule.Compiled) (*Program, string) {
 	if len(p.tags) > 64 {
 		return nil, ReasonTooManyTags
 	}
-	p.metaTag = make([]int16, numTagMetas)
-	for i := range p.metaTag {
-		p.metaTag[i] = -1
+	for i := range p.tagByID {
+		p.tagByID[i] = -1
 	}
 	for name, i := range p.tagIndex {
-		if meta := tagMetaByName[name]; meta != nil {
-			p.metaTag[meta.id] = int16(i)
+		if tag := dom.LookupTag(name); tag != nil {
+			p.tagByID[tag.ID] = int16(i)
 		}
 	}
 	return p, ""
