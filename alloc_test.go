@@ -178,3 +178,25 @@ func TestParseAllocBudget(t *testing.T) {
 		t.Errorf("Parse allocates %.0f/op, budget %d", allocs, budget)
 	}
 }
+
+// raceDetector is set in builds with the race detector (race_test.go).
+var raceDetector bool
+
+// TestFingerprintAllocBudget pins streamx.Fingerprint over benchHTML: the
+// walk state is recycled as Parse's is, so what allocates is the
+// features themselves (the tag-path set, the keyword set and its text):
+// 78 allocs/op, where a fresh walk state per call spent 98.
+func TestFingerprintAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops recycled walk state at random under the race detector")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if f := streamx.Fingerprint("http://www.imdb.com/title/tt0000001/", benchHTML); len(f.TagShingles) == 0 {
+			t.Error("no tag paths")
+		}
+	})
+	const budget = 80
+	if allocs > budget {
+		t.Errorf("Fingerprint allocates %.1f/op, budget %d", allocs, budget)
+	}
+}

@@ -80,7 +80,7 @@ func isomorphicModuloP(a, b *Node) bool {
 	if hasNestedP(a) {
 		return TextContent(a) == TextContent(b)
 	}
-	return equalTree(a, b)
+	return treesIsomorphic(a, b)
 }
 
 func hasNestedP(n *Node) bool {
@@ -97,27 +97,6 @@ func hasNestedP(n *Node) bool {
 		return !found
 	})
 	return found
-}
-
-func equalTree(a, b *Node) bool {
-	if a.Type != b.Type || a.Data != b.Data || len(a.Attr) != len(b.Attr) {
-		return false
-	}
-	for i := range a.Attr {
-		if a.Attr[i] != b.Attr[i] {
-			return false
-		}
-	}
-	ca, cb := a.Children(), b.Children()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if !equalTree(ca[i], cb[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPropertyParseNeverPanicsAndIsSane: arbitrary byte soup parses into

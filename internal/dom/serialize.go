@@ -29,7 +29,7 @@ func render(b *strings.Builder, n *Node) {
 		b.WriteString(n.Data)
 		b.WriteString("-->")
 	case TextNode:
-		if n.Parent != nil && LookupTag(n.Parent.Data).is(tagRaw) {
+		if n.Parent != nil && rawForm(n.Parent) {
 			b.WriteString(n.Data)
 		} else {
 			b.WriteString(EscapeText(n.Data))
@@ -45,8 +45,12 @@ func render(b *strings.Builder, n *Node) {
 			b.WriteByte('"')
 		}
 		b.WriteByte('>')
-		if LookupTag(n.Data).is(tagVoid) {
+		tag := LookupTag(n.Data)
+		if tag.is(tagVoid) {
 			return
+		}
+		if tag.is(tagRaw) && !rawForm(n) {
+			writeRawExit(b, n)
 		}
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
 			render(b, c)
@@ -55,6 +59,45 @@ func render(b *strings.Builder, n *Node) {
 		b.WriteString(n.Data)
 		b.WriteByte('>')
 	}
+}
+
+// rawForm reports whether the raw-text element n renders its content
+// raw, the way the tokenizer reads it back: only when every child is
+// text holding no close tag for n. Raw-text mode ends at "</" and n's
+// name whatever follows, and an end tag naming no open element leaves n
+// open, so n can also hold decoded text, comments and elements; so can
+// a TITLE or STYLE self-closed in HEAD, which never enters raw-text
+// mode.
+func rawForm(n *Node) bool {
+	tag := LookupTag(n.Data)
+	if !tag.is(tagRaw) {
+		return false
+	}
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		if c.Type != TextNode || indexCloseTag(c.Data, rawTextLower[tag.Name]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// writeRawExit writes, after the start tag of a raw-text element n that
+// is not in rawForm, an end tag that ends raw-text mode but closes no
+// element: n's name with more underscores than any open element (an
+// ancestor of n) has after that name. What follows then parses as markup
+// nested in n, up to n's own end tag.
+func writeRawExit(b *strings.Builder, n *Node) {
+	k := 1
+	for a := n.Parent; a != nil; a = a.Parent {
+		if len(a.Data) > len(n.Data) && strings.EqualFold(a.Data[:len(n.Data)], n.Data) &&
+			strings.Trim(a.Data[len(n.Data):], "_") == "" {
+			k = max(k, len(a.Data)-len(n.Data)+1)
+		}
+	}
+	b.WriteString("</")
+	b.WriteString(n.Data)
+	b.WriteString(strings.Repeat("_", k))
+	b.WriteByte('>')
 }
 
 // OuterHTMLShort renders a one-line abbreviation of a node for debugging

@@ -10,14 +10,16 @@
 // pages stream out of a Source, are classified to a rule repository
 // (fixed, or routed by cluster signature), extracted on a bounded worker
 // set and emitted to a Sink in source order — with backpressure end to
-// end, so a site of any size flows through a fixed memory envelope.
+// end, so a site of any size flows through a window bounded both in
+// pages and in page bytes.
 //
 // There is no emitter goroutine: the worker that finishes the oldest
 // unemitted page emits it together with every finished page behind it.
 // The sink is flushed when the window drains (no admitted page is left
 // to emit) or once every page admitted when the oldest unflushed line
 // went out has been emitted. A finished line so waits at most for the
-// pages admitted behind it (fewer than Buffer+Workers), never for input:
+// pages admitted behind it (fewer than Buffer+Workers, fewer still when
+// the pages are large), never for input:
 // a source that blocks on its reader leaves nothing admitted, and the
 // lines out so far are flushed. Sink calls run on workers, one at a
 // time, and a sink panic is recovered and fails the run like a sink
@@ -36,6 +38,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/extract"
@@ -69,6 +72,8 @@ type Item struct {
 	// ErrUnrouted, a line decode error from an NDJSON source, an
 	// extractor refusal. Page-level errors do not stop the run.
 	Err error
+
+	tokens int // window space held from admission to emission
 }
 
 // ErrUnrouted reports that no registered repository signature matched the
@@ -149,8 +154,11 @@ type Config struct {
 	// Workers is the classify+extract concurrency (default GOMAXPROCS).
 	Workers int
 	// Buffer is how many pages, besides one per worker, may be admitted
-	// and not yet emitted (default 2× Workers): sources are only drained
-	// as fast as the slowest downstream stage.
+	// and not yet emitted (default 16× Workers): sources are only drained
+	// as fast as the slowest downstream stage. A deep window keeps every
+	// worker busy behind a slow head page. Large pages narrow it: beyond
+	// Workers+1 pages, which are always admitted, the admitted pages hold
+	// at most 16 MiB of source.
 	Buffer int
 	// Classifier routes pages to repositories; nil passes pages through
 	// with Repo "".
@@ -183,8 +191,12 @@ func (c Config) buffer() int {
 	if c.Buffer > 0 {
 		return c.Buffer
 	}
-	return 2 * c.workers()
+	return 16 * c.workers()
 }
+
+// windowBytes bounds the source bytes of the pages a run holds admitted
+// and unemitted, beyond the Workers+1 pages it always admits.
+const windowBytes = 16 << 20
 
 // Stats summarizes one pipeline run.
 type Stats struct {
@@ -232,9 +244,11 @@ func (s *Stats) observe(it *Item) {
 // the run succeeded — a failed run must not finalize sink artifacts.
 //
 // Backpressure: the source is pulled only while fewer than
-// Buffer+Workers items are awaiting emission, and the sink is fed in
-// order — so a slow sink (an HTTP client reading results) throttles the
-// source (a crawl, a request body) through a fixed in-flight window.
+// Buffer+Workers items are awaiting emission and, beyond Workers+1 of
+// them, only while their pages' source stays within 16 MiB; the sink is
+// fed in order — so a slow sink (an HTTP client reading results)
+// throttles the source (a crawl, a request body) through a window
+// bounded in pages and in bytes.
 //
 // Emission: there is no emitter goroutine. The worker that finishes the
 // window's head emits it and every consecutive finished item after it.
@@ -249,14 +263,18 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// space holds one token per item admitted and not yet emitted. The
-	// window admits Buffer items besides one per worker, so the source
-	// runs at most that far (plus the page it reads ahead) past the sink,
-	// and work, as deep as the window, never blocks it.
+	// space holds the tokens of the items admitted and not yet emitted,
+	// at least one per item. The window admits Buffer items besides one
+	// per worker, so the source runs at most that far (plus the page it
+	// reads ahead) past the sink, and work, as deep as the window, never
+	// blocks it. A page takes one token per n-th of windowBytes of its
+	// source, at most n/(Workers+1): Workers+1 pages always fit, and
+	// more only while their source fits in windowBytes.
 	n := cfg.buffer() + cfg.workers()
 	work := make(chan *Item, n)
 	w := &window{ctx: ctx, cfg: cfg, sink: sink, cancel: cancel,
-		space: make(chan struct{}, n), ring: make([]*Item, n), sinkStats: cfg.Telemetry.Sink()}
+		space: make(chan struct{}, n), ring: make([]*Item, n), sinkStats: cfg.Telemetry.Sink(),
+		unit: max(windowBytes/n, 1), maxTokens: n / (cfg.workers() + 1)}
 	w.flusher, _ = sink.(interface{ Flush() })
 
 	var srcErr error
@@ -288,12 +306,16 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 				return
 			}
 			// The page read ahead waits for window space here.
-			select {
-			case w.space <- struct{}{}:
-				work <- it
-			case <-ctx.Done():
-				return
+			it.tokens = w.weight(it.Page)
+			for range it.tokens {
+				select {
+				case w.space <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
 			}
+			w.admitted.Store(int64(seq + 1))
+			work <- it
 		}
 	}()
 
@@ -345,6 +367,8 @@ type window struct {
 	// line went out.
 	dirty   bool
 	flushAt int
+	// admitted is one past the Seq of the last admitted item.
+	admitted atomic.Int64
 
 	ctx       context.Context
 	cfg       Config
@@ -352,6 +376,8 @@ type window struct {
 	flusher   interface{ Flush() }
 	cancel    context.CancelFunc
 	space     chan struct{}
+	unit      int // source bytes per space token
+	maxTokens int // the most tokens one item takes
 	sinkStats *StageStats
 	stats     Stats
 	err       error // the first sink failure
@@ -362,9 +388,9 @@ type window struct {
 // consecutive finished item and lets go of the role once the head is
 // unfinished. It flushes first, when a line is out unflushed, if every
 // item admitted when that line went out has now been emitted, or if the
-// window has drained (a space token is held by every admitted,
-// unemitted item, so an empty space channel means the source has
-// nothing in flight).
+// window has drained (every admitted, unemitted item holds a space
+// token, so an empty space channel means the source has nothing in
+// flight).
 func (w *window) finish(it *Item) {
 	w.mu.Lock()
 	w.ring[it.Seq%len(w.ring)] = it
@@ -382,7 +408,7 @@ func (w *window) finish(it *Item) {
 		case next != nil:
 			w.ring[w.head%len(w.ring)] = nil
 			if !w.dirty && w.flusher != nil {
-				w.dirty, w.flushAt = true, w.head+len(w.space)
+				w.dirty, w.flushAt = true, int(w.admitted.Load())
 			}
 			w.head++
 		default:
@@ -395,10 +421,26 @@ func (w *window) finish(it *Item) {
 			w.fail(safeFlush(w.cfg, w.flusher))
 		} else {
 			w.emit(next)
-			<-w.space
+			for range next.tokens {
+				<-w.space
+			}
 		}
 		w.mu.Lock()
 	}
+}
+
+// weight is how many space tokens page takes: one per unit of a lazy
+// page's source, at least one and at most maxTokens. A page without
+// source weighs one.
+func (w *window) weight(page *core.Page) int {
+	if page == nil {
+		return 1
+	}
+	src, lazy := page.Source()
+	if !lazy {
+		return 1
+	}
+	return min(max((len(src)+w.unit-1)/w.unit, 1), w.maxTokens)
 }
 
 // emit counts one item and hands it to the sink, unless the run has

@@ -191,6 +191,87 @@ func TestRunBoundedInFlight(t *testing.T) {
 	}
 }
 
+// heldWindow runs a stream of page(i) through cfg with the first page's
+// extraction held back, and returns how many pages the window admitted
+// once the source stalled: nothing can be emitted, so every admitted
+// page stays in the window, and the source holds one more page read
+// ahead. It waits for at least want+1 pages to be read, then for the
+// source to stay still.
+func heldWindow(t *testing.T, cfg Config, want int, page func(i int) *core.Page) int {
+	t.Helper()
+	var read atomic.Int64
+	release := make(chan struct{})
+	var head *core.Page
+	source := sourceFunc(func(ctx context.Context) (*core.Page, error) {
+		p := page(int(read.Load()))
+		if head == nil {
+			head = p
+		}
+		read.Add(1)
+		return p, nil
+	})
+	cfg.Extractor = extractorFunc(func(ctx context.Context, repo string, p *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
+		if p == head {
+			<-release
+		}
+		return &extract.Element{}, nil, nil, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Run(ctx, cfg, source, FuncSink(func(*Item) error { return nil }))
+	}()
+	defer func() {
+		cancel()
+		close(release)
+		<-done
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for read.Load() <= int64(want) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for last := int64(-1); ; {
+		n := read.Load()
+		if n == last {
+			return int(n) - 1
+		}
+		last = n
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// TestRunWindowDepth: with small pages and the head held back, the
+// default window admits 17 pages per worker, so the other workers keep
+// extracting behind a slow head page.
+func TestRunWindowDepth(t *testing.T) {
+	page := func(i int) *core.Page { return core.NewPageLazy(fmt.Sprintf("http://x/p%d", i), "<p>x</p>") }
+	for _, workers := range []int{1, 2, 4} {
+		want := 17 * workers
+		if got := heldWindow(t, Config{Workers: workers}, want, page); got != want {
+			t.Errorf("%d workers: %d pages admitted behind a held head, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestRunWindowBytes: with maxBody-sized pages the window still admits
+// Workers+1 pages, so every worker stays busy, yet never holds more page
+// bytes than a window of 3 pages per worker, at any Buffer.
+func TestRunWindowBytes(t *testing.T) {
+	src := strings.Repeat("x", 8<<20)
+	page := func(i int) *core.Page { return core.NewPageLazy(fmt.Sprintf("http://x/p%d", i), src) }
+	for _, workers := range []int{1, 2, 4} {
+		for _, buffer := range []int{0, 64 * workers} {
+			got := heldWindow(t, Config{Workers: workers, Buffer: buffer}, workers+1, page)
+			if got < workers+1 || got > 3*workers {
+				t.Errorf("%d workers, Buffer %d: %d pages of %d MiB admitted behind a held head, want %d to %d",
+					workers, buffer, got, len(src)>>20, workers+1, 3*workers)
+			}
+		}
+	}
+}
+
 type sourceFunc func(ctx context.Context) (*core.Page, error)
 
 func (f sourceFunc) Next(ctx context.Context) (*core.Page, error) { return f(ctx) }

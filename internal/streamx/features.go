@@ -1,6 +1,8 @@
 package streamx
 
 import (
+	"sync"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dom"
@@ -71,20 +73,34 @@ func (f *featSink) EndElement() {
 	f.lens = f.lens[:n]
 }
 
+// fingerprinter is the walk state of one Fingerprint call: the
+// Constructor and the sink's buffers.
+type fingerprinter struct {
+	c  dom.Constructor
+	fs featSink
+}
+
+// fingerprinters recycles walk state across Fingerprint calls, as Parse
+// recycles its Constructor. The tags set goes out with the Features, so
+// each call makes its own.
+var fingerprinters = sync.Pool{New: func() any { return new(fingerprinter) }}
+
 // Fingerprint computes the clustering features of a page straight from its
 // raw HTML — one token pass, no tree. The result is identical to
 // cluster.Fingerprint over the parsed document: same tag-path shingles
 // (the synthesized HTML/HEAD/BODY skeleton included), same keyword set.
 func Fingerprint(uri, src string) cluster.Features {
-	fs := &featSink{tags: make(map[string]struct{})}
-	fs.tags["HTML"] = struct{}{}
-	fs.tags["HTML/HEAD"] = struct{}{}
-	fs.tags["HTML/BODY"] = struct{}{}
-	fs.path = append(fs.path, "HTML/BODY"...)
-	var c dom.Constructor
+	fp := fingerprinters.Get().(*fingerprinter)
+	fs := &fp.fs
+	fs.tags = map[string]struct{}{"HTML": {}, "HTML/HEAD": {}, "HTML/BODY": {}}
+	fs.kw, fs.lens = fs.kw[:0], fs.lens[:0]
+	fs.path = append(fs.path[:0], "HTML/BODY"...)
 	// featSink never errors or stops early; the walk cannot fail.
-	_ = dom.Construct(&c, src, fs)
-	return cluster.FeaturesFromParts(uri, fs.tags, textutil.TokenSet(string(fs.kw)))
+	_ = dom.Construct(&fp.c, src, fs)
+	f := cluster.FeaturesFromParts(uri, fs.tags, textutil.TokenSet(string(fs.kw)))
+	fs.tags = nil
+	fingerprinters.Put(fp)
+	return f
 }
 
 // FingerprintPage fingerprints a page by whichever representation it

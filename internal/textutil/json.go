@@ -314,50 +314,73 @@ func (r *JSONReader) String() string {
 		r.pos = j + 1
 		return string(data[start:j])
 	}
-	buf := append(r.Scratch[:0], data[start:j]...)
-	for j < len(data) && data[j] == '\\' {
-		if j+1 == len(data) {
-			r.bad = true
-			return ""
+	return r.unescape(start, j, ascii)
+}
+
+// unescape reads the rest of the string literal opened at data[start-1]
+// from its first escape (or control byte) at data[j], writing the value
+// by index into Scratch. An escape never decodes to more bytes than it
+// spells, so Scratch is sized once, to the rest of the input.
+func (r *JSONReader) unescape(start, j int, ascii bool) string {
+	data := r.data
+	if cap(r.Scratch) < len(data)-start {
+		r.Scratch = make([]byte, len(data)-start)
+	}
+	buf := r.Scratch[:cap(r.Scratch)]
+	w := copy(buf, data[start:j])
+	for j < len(data) {
+		c := data[j]
+		if jsonPlain[c] || c >= utf8.RuneSelf {
+			ascii = ascii && c < utf8.RuneSelf
+			buf[w] = c
+			w, j = w+1, j+1
+			continue
 		}
-		switch c := data[j+1]; c {
+		if c == '"' {
+			if !ascii && !utf8.Valid(buf[:w]) {
+				break
+			}
+			r.pos = j + 1
+			return string(buf[:w])
+		}
+		if c != '\\' || j+1 == len(data) {
+			break
+		}
+		switch e := data[j+1]; e {
 		case '"', '\\', '/':
-			buf = append(buf, c)
+			buf[w] = e
 		case 'b':
-			buf = append(buf, '\b')
+			buf[w] = '\b'
 		case 'f':
-			buf = append(buf, '\f')
+			buf[w] = '\f'
 		case 'n':
-			buf = append(buf, '\n')
+			buf[w] = '\n'
 		case 'r':
-			buf = append(buf, '\r')
+			buf[w] = '\r'
 		case 't':
-			buf = append(buf, '\t')
+			buf[w] = '\t'
 		case 'u':
-			c, ok := hex4(data, j+2)
-			if !ok || c >= 0xD800 && c < 0xE000 {
+			u, ok := hex4(data, j+2)
+			if !ok || u >= 0xD800 && u < 0xE000 {
 				r.bad = true
 				return ""
 			}
-			buf = utf8.AppendRune(buf, c)
-			j += 4
+			if u < utf8.RuneSelf {
+				buf[w] = byte(u)
+				w++
+			} else {
+				w += utf8.EncodeRune(buf[w:], u)
+			}
+			j += 6
+			continue
 		default:
 			r.bad = true
 			return ""
 		}
-		j += 2
-		k, plain := scanJSONPlain(data, j)
-		ascii = ascii && plain
-		buf = append(buf, data[j:k]...)
-		j = k
+		w, j = w+1, j+2
 	}
-	r.Scratch = buf
-	if j == len(data) || data[j] != '"' || !ascii && !utf8.Valid(buf) {
-		r.bad = true
-		return ""
-	}
-	r.pos = j + 1
-	return string(buf)
+	r.bad = true
+	return ""
 }
 
 // maxSkipDepth is encoding/json's nesting limit on arrays and objects:
@@ -525,24 +548,26 @@ var jsonPlain = func() (t [256]bool) {
 	return t
 }()
 
+// hexDigit maps a hex digit to its value and any other byte to 1<<16,
+// so the four digits of a \u escape combine, shifted and or-ed, into a
+// value above 0xFFFF exactly when one of them is not a hex digit.
+var hexDigit = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = 1 << 16
+	}
+	for i := range 16 {
+		t["0123456789abcdef"[i]] = uint32(i)
+		t["0123456789ABCDEF"[i]] = uint32(i)
+	}
+	return t
+}()
+
 // hex4 parses the four hex digits of a \u escape at data[i:].
 func hex4(data []byte, i int) (rune, bool) {
 	if i+4 > len(data) {
 		return 0, false
 	}
-	var r rune
-	for _, c := range data[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
+	d := data[i : i+4]
+	u := hexDigit[d[0]]<<12 | hexDigit[d[1]]<<8 | hexDigit[d[2]]<<4 | hexDigit[d[3]]
+	return rune(u), u <= 0xFFFF
 }

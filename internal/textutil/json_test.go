@@ -2,8 +2,10 @@ package textutil
 
 import (
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // jsonSkipSeeds cover every value type, the escapes, the number grammar
@@ -85,4 +87,34 @@ func TestJSONReaderTokens(t *testing.T) {
 			t.Errorf("reading %q succeeded", bad.in)
 		}
 	}
+}
+
+// FuzzJSONReaderString: a string literal String reads decodes to the
+// value json.Unmarshal gives, and String refuses only what
+// encoding/json refuses or what lies outside the subset (invalid UTF-8,
+// surrogate escapes). One reader serves every input, so a scratch left
+// by an earlier string must not leak into a later one.
+func FuzzJSONReaderString(f *testing.F) {
+	for _, s := range []string{
+		`"plain"`, `"a\u003cb\u003e&amp;\u0026"`, `"\"\\\/\b\f\n\r\t"`, `"\u00e9\u20AC\uFFFF"`,
+		"\"caf\xc3\xa9\\n\"", "\"\\n\xff\"", `"\ud83d\ude00"`, `"\uDC00"`, `"\u12g4"`, `"\u00"`,
+		`"\x"`, `"a\`, `"a\n`, "\"\\n\x01\"", `"\u003c`, ` "x" `, `"x"y`,
+	} {
+		f.Add([]byte(s))
+	}
+	var r JSONReader
+	surrogate := regexp.MustCompile(`\\u[dD][89a-fA-F]`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r.Reset(data)
+		got := r.String()
+		r.End()
+		var want string
+		err := json.Unmarshal(data, &want)
+		switch {
+		case r.OK() && (err != nil || got != want):
+			t.Fatalf("String on %q = %q, json.Unmarshal %q (err %v)", data, got, want, err)
+		case !r.OK() && err == nil && utf8.Valid(data) && !surrogate.Match(data):
+			t.Fatalf("String refused %q, json.Unmarshal reads %q", data, want)
+		}
+	})
 }
